@@ -26,8 +26,7 @@
 // additionally carries tombstone records ("row,col,x") expiring exactly
 // as many of the oldest live cells as arrive, so replaying the batches
 // keeps the live-cell count constant — the reproducible input of the
-// sliding-window scenarios (cmd/experiments window, cmd/ivmfload
-// -scenario window):
+// sliding-window scenarios (cmd/experiments window):
 //
 //	datagen -kind ratings -scale 0.1 -format coo -batches 5 -window -out win
 package main

@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"math"
 	"net"
 	"os/exec"
 	"path/filepath"
@@ -10,9 +9,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/recommend"
+	"repro/internal/interval"
+	"repro/internal/oracle"
 	"repro/internal/service"
 	"repro/internal/sparse"
 )
@@ -20,8 +19,8 @@ import (
 // Restart equivalence under SIGKILL: boot the real daemon with a data
 // directory, stream a base decomposition and updates at it, kill -9 the
 // process mid-stream, reboot it on the same directory, and pin every
-// served prediction bitwise against an uninterrupted offline chain of
-// the acknowledged jobs. This is the crash-safety contract end to end —
+// served prediction bitwise against the oracle's uninterrupted offline
+// replay of the acknowledged jobs. This is the crash-safety contract end to end —
 // through the real binary, the real filesystem, and a real SIGKILL —
 // with no cooperation from the dying process.
 
@@ -122,12 +121,18 @@ func TestRestartAfterSIGKILLServesAckedChainBitwise(t *testing.T) {
 
 	// First life: decompose, two acknowledged updates, then a third
 	// submitted but not awaited — the kill lands mid-stream.
-	daemon := startDaemon(t, ctx, bin, addr, dataDir)
-	c := &service.Client{Base: "http://" + addr}
-	info, err := c.Submit(ctx, service.Request{
+	jobs := []service.Request{{
 		Tenant: "t", Kind: "decompose", Method: "ISVD4", Rank: rstRank,
 		Target: "b", Min: rstMin, Max: rstMax, COO: rstCOO(t, base),
-	})
+	}}
+	for k := 1; k <= 3; k++ {
+		jobs = append(jobs, service.Request{
+			Tenant: "t", Kind: "update", Refresh: "never", Delta: rstDelta(t, rstPatch(k)),
+		})
+	}
+	daemon := startDaemon(t, ctx, bin, addr, dataDir)
+	c := &service.Client{Base: "http://" + addr}
+	info, err := c.Submit(ctx, jobs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,9 +140,7 @@ func TestRestartAfterSIGKILLServesAckedChainBitwise(t *testing.T) {
 		t.Fatalf("decompose ended %+v (err %v)", info, err)
 	}
 	for k := 1; k <= 2; k++ {
-		u, err := c.Submit(ctx, service.Request{
-			Tenant: "t", Kind: "update", Refresh: "never", Delta: rstDelta(t, rstPatch(k)),
-		})
+		u, err := c.Submit(ctx, jobs[k])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,9 +148,7 @@ func TestRestartAfterSIGKILLServesAckedChainBitwise(t *testing.T) {
 			t.Fatalf("update %d ended %+v (err %v)", k, u, err)
 		}
 	}
-	if _, err := c.Submit(ctx, service.Request{
-		Tenant: "t", Kind: "update", Refresh: "never", Delta: rstDelta(t, rstPatch(3)),
-	}); err != nil {
+	if _, err := c.Submit(ctx, jobs[3]); err != nil {
 		t.Fatal(err)
 	}
 	if err := daemon.Process.Kill(); err != nil { // SIGKILL: no drain, no flush
@@ -179,34 +180,27 @@ func TestRestartAfterSIGKILLServesAckedChainBitwise(t *testing.T) {
 		t.Fatalf("recovered version %d, want 3 or 4", resp.Version)
 	}
 
-	// Uninterrupted offline chain of exactly the served versions,
-	// through the same core entry points the daemon uses.
-	d, err := core.DecomposeSparse(base, core.ISVD4, core.Options{
-		Rank: rstRank, Target: core.TargetB, Updatable: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 1; k <= int(resp.Version)-1; k++ {
-		if d, err = d.Update(core.Delta{Patch: rstPatch(k)}, core.Options{Refresh: core.RefreshNever}); err != nil {
+	// The oracle's uninterrupted offline replay of exactly the served
+	// versions.
+	chain := &oracle.Chain{}
+	for _, job := range jobs[:resp.Version] {
+		if err := chain.Apply(oracle.Job(job)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	pred, err := recommend.FromSparseDecomposition(d, rstMin, rstMax)
+	served := make([]interval.Interval, len(resp.Predictions))
+	for k, p := range resp.Predictions {
+		if p.Mid != (interval.Interval{Lo: p.Lo, Hi: p.Hi}).Mid() {
+			t.Fatalf("cell (%d,%d): mid %v is not the mid of [%v,%v]", p.Row, p.Col, p.Mid, p.Lo, p.Hi)
+		}
+		served[k] = interval.Interval{Lo: p.Lo, Hi: p.Hi}
+	}
+	mm, err := chain.Check(cells, served)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range resp.Predictions {
-		want, err := pred.PredictInterval(p.Row, p.Col)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Float64bits(p.Lo) != math.Float64bits(want.Lo) ||
-			math.Float64bits(p.Hi) != math.Float64bits(want.Hi) ||
-			math.Float64bits(p.Mid) != math.Float64bits(want.Mid()) {
-			t.Fatalf("cell (%d,%d): served [%v,%v] mid %v, offline chain [%v,%v] mid %v",
-				p.Row, p.Col, p.Lo, p.Hi, p.Mid, want.Lo, want.Hi, want.Mid())
-		}
+	if len(mm) > 0 {
+		t.Fatalf("%d cells differ from the offline chain, first %v", len(mm), mm[0])
 	}
 
 	// The reboot should have recovered exactly one tenant.

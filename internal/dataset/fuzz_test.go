@@ -74,15 +74,16 @@ func FuzzReadDeltaCOO(f *testing.F) {
 		"x,3\n", "4\n", "4,3,9\n", // malformed headers
 		"4,3\n0,0\n", "4,3\na,0,1\n",
 		// Tombstone framings against the fixed base below.
-		"4,3\n0,0,x\n",          // tombstone for a stored cell
-		"4,3\n2,1,x\n",          // tombstone for a stored explicit zero
-		"4,3\n1,2,x\n",          // tombstone for a never-inserted cell
-		"4,3\n0,0,1\n0,0,x\n",   // cell both patched and tombstoned
-		"4,3\n0,0,x\n0,0,x\n",   // duplicate tombstone
-		"4,3\n4,0,x\n",          // tombstone out of range
-		"4,3\n0,0,X\n",          // wrong-case token is not a tombstone
-		"4,3\n0,0,xx\n",         // near-miss token
-		"4,3\n0,0,x\n3,2,1.5\n", // mixed tombstone and patch
+		"4,3\n0,0,x\n",                      // tombstone for a stored cell
+		"4,3\n2,1,x\n",                      // tombstone for a stored explicit zero
+		"4,3\n1,2,x\n",                      // tombstone for a never-inserted cell
+		"4,3\n0,0,1\n0,0,x\n",               // cell both patched and tombstoned
+		"4,3\n0,0,x\n0,0,x\n",               // duplicate tombstone
+		"4,3\n4,0,x\n",                      // tombstone out of range
+		"4,3\n0,0,X\n",                      // wrong-case token is not a tombstone
+		"4,3\n0,0,xx\n",                     // near-miss token
+		"4,3\n0,0,x\n3,2,1.5\n",             // mixed tombstone and patch
+		"4,3\n3,2,x\n1,1,2\n0,0,x\n0,2,1\n", // records out of (row, col) order
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -104,8 +105,20 @@ func FuzzReadDeltaCOO(f *testing.F) {
 		// Accepted batch: every patch targets a base cell, no duplicate
 		// operations (a cell appears at most once, as a patch or a
 		// tombstone), ordered finite intervals, tombstones only for stored
-		// cells, and a write/read round trip preserves the operation set.
+		// cells, patches and tombstones each sorted by (row, col), and a
+		// write/read round trip preserves the operation set.
 		type key struct{ row, col int }
+		before := func(a, b key) bool { return a.row < b.row || a.row == b.row && a.col < b.col }
+		for k := 1; k < len(batch.Patch); k++ {
+			if !before(key{batch.Patch[k-1].Row, batch.Patch[k-1].Col}, key{batch.Patch[k].Row, batch.Patch[k].Col}) {
+				t.Fatalf("patches not sorted by (row, col) from %q", in)
+			}
+		}
+		for k := 1; k < len(batch.Tombstones); k++ {
+			if !before(key{batch.Tombstones[k-1].Row, batch.Tombstones[k-1].Col}, key{batch.Tombstones[k].Row, batch.Tombstones[k].Col}) {
+				t.Fatalf("tombstones not sorted by (row, col) from %q", in)
+			}
+		}
 		seen := make(map[key]bool, len(batch.Patch)+len(batch.Tombstones))
 		for _, p := range batch.Patch {
 			if p.Row < 0 || p.Row >= baseRows || p.Col < 0 || p.Col >= baseCols {

@@ -92,7 +92,9 @@ func WriteDeltaBatchCOO(w io.Writer, rows, cols int, batch DeltaBatch) error {
 // ParseDeltaCOO parses the delta COO format standalone, without a base
 // matrix: it returns the declared shape and the batch, after every
 // shape-independent check — well-formed header, in-range duplicate-free
-// cells, finite ordered intervals. Callers that hold the base matrix
+// cells, finite ordered intervals. Patches and tombstones come back
+// sorted by (row, col) whatever the record order, so every consumer of
+// the same text sees the same delta. Callers that hold the base matrix
 // should use ReadDeltaCOO, which additionally pins the header to the
 // base shape and rejects tombstones for never-inserted cells.
 func ParseDeltaCOO(r io.Reader) (rows, cols int, batch DeltaBatch, err error) {
@@ -149,6 +151,18 @@ func ParseDeltaCOO(r io.Reader) (rows, cols int, batch DeltaBatch, err error) {
 		}
 		batch.Patch = append(batch.Patch, sparse.ITriplet{Row: i, Col: j, Lo: lo, Hi: hi})
 	}
+	sort.Slice(batch.Patch, func(a, b int) bool {
+		if batch.Patch[a].Row != batch.Patch[b].Row {
+			return batch.Patch[a].Row < batch.Patch[b].Row
+		}
+		return batch.Patch[a].Col < batch.Patch[b].Col
+	})
+	sort.Slice(batch.Tombstones, func(a, b int) bool {
+		if batch.Tombstones[a].Row != batch.Tombstones[b].Row {
+			return batch.Tombstones[a].Row < batch.Tombstones[b].Row
+		}
+		return batch.Tombstones[a].Col < batch.Tombstones[b].Col
+	})
 	return rows, cols, batch, nil
 }
 
@@ -157,8 +171,8 @@ func ParseDeltaCOO(r io.Reader) (rows, cols int, batch DeltaBatch, err error) {
 // shape, and every tombstone must address a cell currently stored in
 // the base: a tombstone for a never-inserted cell means the stream and
 // the model disagree about history and is rejected at read time, before
-// anything downstream applies a partial batch. Patches are returned
-// sorted by (row, col); tombstones likewise.
+// anything downstream applies a partial batch. The batch is sorted as
+// ParseDeltaCOO sorts it.
 func ReadDeltaCOO(r io.Reader, base *sparse.ICSR) (DeltaBatch, error) {
 	rows, cols, batch, err := ParseDeltaCOO(r)
 	if err != nil {
@@ -172,18 +186,6 @@ func ReadDeltaCOO(r io.Reader, base *sparse.ICSR) (DeltaBatch, error) {
 			return DeltaBatch{}, fmt.Errorf("dataset: delta tombstone for never-inserted cell (%d, %d)", c.Row, c.Col)
 		}
 	}
-	sort.Slice(batch.Patch, func(a, b int) bool {
-		if batch.Patch[a].Row != batch.Patch[b].Row {
-			return batch.Patch[a].Row < batch.Patch[b].Row
-		}
-		return batch.Patch[a].Col < batch.Patch[b].Col
-	})
-	sort.Slice(batch.Tombstones, func(a, b int) bool {
-		if batch.Tombstones[a].Row != batch.Tombstones[b].Row {
-			return batch.Tombstones[a].Row < batch.Tombstones[b].Row
-		}
-		return batch.Tombstones[a].Col < batch.Tombstones[b].Col
-	})
 	return batch, nil
 }
 

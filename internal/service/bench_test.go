@@ -2,8 +2,8 @@ package service
 
 // Service-path benchmarks: job admission-to-completion through the real
 // executor, and the serving path through the real HTTP handler. CI runs
-// these with -benchtime 1x as a smoke test; cmd/ivmfload measures the
-// closed-loop numbers committed in BENCH_service.json.
+// these with -benchtime 1x as a smoke test; servebench/ measures the
+// end-to-end serving numbers against the real ivmfd binary.
 
 import (
 	"context"

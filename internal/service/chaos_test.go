@@ -13,16 +13,21 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"math"
+	"fmt"
+	"io"
+	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/interval"
-	"repro/internal/recommend"
+	"repro/internal/dataset"
+	"repro/internal/oracle"
+	"repro/internal/sparse"
 	"repro/internal/store"
 )
 
@@ -37,7 +42,7 @@ func TestPanicIsolation(t *testing.T) {
 	s.Start()
 
 	decomposeTenant(t, s, "victim")
-	mHealthy := decomposeTenant(t, s, "healthy")
+	decomposeTenant(t, s, "healthy")
 	victimSnap := s.Snapshot("victim")
 
 	release := s.ArmFailpoint(FailExec, FailpointSpec{Tenant: "victim", Mode: FailPanic, Count: 2})
@@ -62,7 +67,7 @@ func TestPanicIsolation(t *testing.T) {
 	}
 	// The healthy tenant's served state equals the offline chain of its
 	// acknowledged updates, bitwise.
-	assertServedEqualsChain(t, s, "healthy", mHealthy.Rows, mHealthy.Cols, healthyAcked)
+	assertServed(t, s, "healthy", patchChain(t, "healthy", healthyAcked...)...)
 
 	// The victim recovers: the failpoint is exhausted, so the next
 	// update succeeds against the old snapshot.
@@ -77,59 +82,6 @@ func TestPanicIsolation(t *testing.T) {
 	drain(t, s)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// assertServedEqualsChain pins a tenant's served predictions, bitwise
-// over every cell, to the offline DecomposeSparse+Update chain of
-// exactly the acked patches.
-func assertServedEqualsChain(t *testing.T, s *Service, tenant string, rows, cols int, ackedPatches []int) {
-	t.Helper()
-	var probes [][2]int
-	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			probes = append(probes, [2]int{i, j})
-		}
-	}
-	// Replay the exact recipe decomposeTenant/submitPatch request:
-	// rank-3 TargetB decompose, then Refresh-never updates.
-	m := testMatrix(t, 7, persistRows, persistCols, 0.4)
-	d, err := core.DecomposeSparse(m, core.ISVD4,
-		core.Options{Rank: 3, Target: core.TargetB, Updatable: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range ackedPatches {
-		d, err = d.Update(core.Delta{Patch: persistPatch(k)},
-			core.Options{Refresh: core.RefreshNever})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	pred, err := recommend.FromSparseDecomposition(d, 1, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]interval.Interval, len(probes))
-	for ci, c := range probes {
-		if want[ci], err = pred.PredictInterval(c[0], c[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap := s.Snapshot(tenant)
-	if snap == nil {
-		t.Fatalf("tenant %q has no snapshot", tenant)
-	}
-	for ci, c := range probes {
-		got, err := snap.Pred.PredictInterval(c[0], c[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Float64bits(got.Lo) != math.Float64bits(want[ci].Lo) ||
-			math.Float64bits(got.Hi) != math.Float64bits(want[ci].Hi) {
-			t.Fatalf("tenant %q cell (%d,%d): served [%v,%v], offline [%v,%v]",
-				tenant, c[0], c[1], got.Lo, got.Hi, want[ci].Lo, want[ci].Hi)
-		}
 	}
 }
 
@@ -188,7 +140,7 @@ func TestDeadlineAbandonsHungUnit(t *testing.T) {
 	// NOT part of it — ledger and durable chain agree it never happened.
 	info = submitPatch(t, s, "h", 2)
 	waitJob(t, s, info.ID)
-	assertServedEqualsChain(t, s, "h", persistRows, persistCols, []int{2})
+	assertServed(t, s, "h", patchChain(t, "h", 2)...)
 	if n := s.metrics.snapshotCounter(mResDeadline, label("tenant", "h")); n != 1 {
 		t.Fatalf("deadline counter = %v, want 1", n)
 	}
@@ -206,7 +158,7 @@ func TestDeadlineAbandonsHungUnit(t *testing.T) {
 		_ = s2.Close()
 	}()
 	s2.Start()
-	assertServedEqualsChain(t, s2, "h", persistRows, persistCols, []int{2})
+	assertServed(t, s2, "h", patchChain(t, "h", 2)...)
 }
 
 // TestQuarantineLifecycle drives a tenant through trip → reject →
@@ -706,4 +658,608 @@ func TestHTTPResilienceSurface(t *testing.T) {
 		t.Fatalf("replay while draining = %d", resp.StatusCode)
 	}
 	resp.Body.Close()
+}
+
+// TestChaos is the isolation contract end to end, over real HTTP against
+// an in-process durable server, while the run turns hostile around three
+// tenants. Tenant 0 is poisoned once its model is up: executor panics
+// until it is quarantined, plus persist faults. A hostile worker sends
+// malformed and poisonous envelopes, a disconnect worker tears down
+// connections mid-request, and the server is drained and restarted on
+// the same data dir mid-stream. The contract:
+//   - no healthy tenant loses or fails a job, and injected failures land
+//     only on tenant 0;
+//   - every hostile envelope gets a 4xx, never a 2xx;
+//   - clients ride through the restart on retries plus Idempotency-Key;
+//   - at every acknowledged version, and finally after the restart, each
+//     healthy tenant's served predictions are finite and bitwise equal to
+//     the oracle's replay of its acknowledged envelopes.
+//
+// The stream subtest replays plain patch batches. The window subtest
+// replays a sliding window (arrivals plus tombstone expiries, λ decay)
+// with an injected arrive-then-expire cycle that must show up as a
+// guardrail redecompose.
+func TestChaos(t *testing.T) {
+	t.Run("stream", func(t *testing.T) { runChaos(t, false, 0.02, 4) })
+	t.Run("window", func(t *testing.T) { runChaos(t, true, 0.05, 2) })
+}
+
+// Chaos run shape.
+const (
+	chaosTenants     = 3
+	chaosRank        = 10
+	chaosPredictCell = 16 // cells per background predict request
+	chaosProbes      = 32 // cells per verification predict
+	// windowForget decays the window's spectrum on every regular batch,
+	// so the WAL round-trips λ under fire.
+	windowForget = 0.95
+	// violentMass is the injected cell: orders of magnitude above the
+	// 1-5 rating spectrum, so its expiry is the near-σ_r cancellation the
+	// downdate guardrail exists for.
+	violentMass = 5e5
+)
+
+// hostileEnvelopes must all be rejected 4xx: malformed JSON, unknown
+// fields, a traversal tenant name, a bomb declaring huge dimensions,
+// non-finite cells, an unknown kind, and not JSON at all.
+var hostileEnvelopes = []string{
+	`{"tenant":"h","kind":"decompose","coo":"2,2\n0,0,1\n"`,
+	`{"tenant":"h","kind":"decompose","boom":1}`,
+	`{"tenant":"..","kind":"update","delta":"1,1\n0,0,1\n"}`,
+	`{"tenant":"h","kind":"decompose","coo":"999999999,999999999\n0,0,1\n"}`,
+	`{"tenant":"h","kind":"update","delta":"2,2\n0,0,nan\n"}`,
+	`{"tenant":"h","kind":"wat"}`,
+	`not json at all`,
+}
+
+// disconnectShapes are the mid-request teardowns the server must shrug
+// off: a body promised and never sent, a request line cut mid-token, an
+// immediate close.
+var disconnectShapes = []string{
+	"POST /v1/jobs HTTP/1.1\r\nHost: x\r\nContent-Length: 1000000\r\n\r\n{\"tenant\"",
+	"GET /v1/topn?tenant=ten",
+	"",
+}
+
+func runChaos(t *testing.T, window bool, scale float64, batches int) {
+	plans := make([]chaosPlan, chaosTenants)
+	for i := range plans {
+		plans[i] = planTenant(t, i, window, scale, batches)
+	}
+	h := &chaosHarness{
+		srv:        &chaosServer{dataDir: t.TempDir()},
+		stop:       make(chan struct{}),
+		kick:       make(chan struct{}),
+		hostile4xx: make([]int, len(hostileEnvelopes)),
+		shapes:     make([]int, len(disconnectShapes)),
+	}
+	if err := h.srv.open("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := h.srv.stop(); err != nil {
+			t.Error(err)
+		}
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
+	defer cancel()
+	h.start(ctx)
+
+	outcomes := make([]chaosOutcome, chaosTenants)
+	var wg sync.WaitGroup
+	for i := range plans {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			outcomes[i] = h.drive(ctx, plans[i])
+		}()
+	}
+	wg.Wait()
+	h.finish()
+
+	if len(h.errs) > 0 {
+		t.Fatal(h.errs[0])
+	}
+	if h.restarts != 1 {
+		t.Errorf("restarts = %d, want 1 mid-stream", h.restarts)
+	}
+	if h.hostileAccepted != 0 {
+		t.Errorf("%d hostile envelopes got a 2xx", h.hostileAccepted)
+	}
+	for k, n := range h.hostile4xx {
+		if n == 0 {
+			t.Errorf("hostile envelope %d never got a 4xx", k)
+		}
+	}
+	for k, n := range h.shapes {
+		if n == 0 {
+			t.Errorf("disconnect shape %d never sent", k)
+		}
+	}
+	var retries int64
+	for i, o := range outcomes {
+		retries += o.retries
+		if o.err != nil {
+			t.Errorf("tenant %d: %v", i, o.err)
+			continue
+		}
+		if o.predictErrs != 0 {
+			t.Errorf("tenant %d: %d background predicts failed", i, o.predictErrs)
+		}
+		if plans[i].chaotic {
+			if o.injected == 0 {
+				t.Errorf("tenant %d: no injected failure landed (%d busy rejections)", i, o.busy)
+			}
+			continue
+		}
+		// Final served state, after the restart.
+		c := &Client{Base: h.srv.base()}
+		resp, err := c.Predict(ctx, plans[i].tenant, plans[i].probes)
+		if err != nil {
+			t.Fatalf("tenant %d final predict: %v", i, err)
+		}
+		mm, err := o.chain.Check(plans[i].probes, servedWire(resp))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o.mismatches += len(mm); o.mismatches != 0 {
+			t.Errorf("tenant %d: %d served cells differ from the oracle", i, o.mismatches)
+		}
+		if o.verified != len(plans[i].jobs)-1 {
+			t.Errorf("tenant %d: verified %d of %d updates", i, o.verified, len(plans[i].jobs)-1)
+		}
+		if h := o.chain.Health(); window && h.Redecomposes < 1 {
+			t.Errorf("tenant %d: the injected arrive-then-expire cycle never redecomposed (health %+v)", i, h)
+		}
+	}
+	if retries == 0 {
+		t.Error("no client retried across the restart")
+	}
+	t.Logf("restarts %d, hostile 4xx %v, disconnects %v, tenant 0 injected %d busy %d, retries %d",
+		h.restarts, h.hostile4xx, h.shapes, outcomes[0].injected, outcomes[0].busy, retries)
+}
+
+// chaosPlan is one tenant's generated traffic: its decompose envelope,
+// its update envelopes, and the cells its verification probes read.
+type chaosPlan struct {
+	tenant  string
+	chaotic bool
+	seed    int64
+	rows    int
+	cols    int
+	jobs    []Request
+	probes  [][2]int
+}
+
+// planTenant generates tenant i's traffic. A stream plan replays
+// StreamSplit batches as patches. A window plan replays WindowSplit
+// batches (arrivals plus expiries, each decaying by windowForget) with an
+// injected cycle after the first batch: a violentMass cell arrives (the
+// lax ortho budget lets it through additively) and then expires under
+// refresh-never, which forces the ill-conditioned-downdate guardrail to
+// redecompose. The cycle uses a cell no other batch touches.
+func planTenant(t *testing.T, i int, window bool, scale float64, batches int) chaosPlan {
+	t.Helper()
+	p := chaosPlan{tenant: fmt.Sprintf("tenant-%d", i), chaotic: i == 0, seed: int64(1 + i)}
+	rng := rand.New(rand.NewSource(p.seed))
+	data, err := dataset.GenerateRatings(dataset.MovieLensLike().Scaled(scale), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := data.CFIntervalsCSR()
+	p.rows, p.cols = m.Rows, m.Cols
+	var (
+		base []sparse.ITriplet
+		ops  []Request
+	)
+	if !window {
+		var deltas [][]sparse.ITriplet
+		if base, deltas, err = dataset.StreamSplit(m, 0.1, batches, rng); err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range deltas {
+			ops = append(ops, Request{Delta: deltaText(t, m.Rows, m.Cols, d)})
+		}
+	} else {
+		var wb []dataset.DeltaBatch
+		if base, wb, err = dataset.WindowSplit(m, 0.1, batches, rng); err != nil {
+			t.Fatal(err)
+		}
+		spare := spareCell(t, m, base, wb)
+		ops = append(ops,
+			Request{Delta: deltaBatchText(t, m.Rows, m.Cols, wb[0]), Forget: windowForget},
+			Request{Delta: deltaText(t, m.Rows, m.Cols, []sparse.ITriplet{
+				{Row: spare.Row, Col: spare.Col, Lo: violentMass, Hi: violentMass * 1.2},
+			}), Refresh: "never", OrthoBudget: 1e6},
+			Request{Delta: deltaBatchText(t, m.Rows, m.Cols, dataset.DeltaBatch{
+				Tombstones: []sparse.Cell{spare},
+			}), Refresh: "never"})
+		for _, b := range wb[1:] {
+			ops = append(ops, Request{Delta: deltaBatchText(t, m.Rows, m.Cols, b), Forget: windowForget})
+		}
+	}
+	baseCSR, err := sparse.FromICOO(m.Rows, m.Cols, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.jobs = append(p.jobs, Request{Tenant: p.tenant, Kind: "decompose", Method: "ISVD4",
+		Rank: chaosRank, Target: "b", Min: 1, Max: 5, COO: cooText(t, baseCSR)})
+	for _, op := range ops {
+		op.Tenant, op.Kind = p.tenant, "update"
+		p.jobs = append(p.jobs, op)
+	}
+	p.probes = probeCells(m.Rows, m.Cols, chaosProbes, p.seed+7919)
+	return p
+}
+
+// spareCell finds a cell that neither the window base nor any batch
+// touches.
+func spareCell(t *testing.T, m *sparse.ICSR, base []sparse.ITriplet, wb []dataset.DeltaBatch) sparse.Cell {
+	t.Helper()
+	used := make(map[sparse.Cell]bool, m.NNZ())
+	for _, c := range base {
+		used[sparse.Cell{Row: c.Row, Col: c.Col}] = true
+	}
+	for _, b := range wb {
+		for _, c := range b.Patch {
+			used[sparse.Cell{Row: c.Row, Col: c.Col}] = true
+		}
+	}
+	for i := 0; i < m.Rows; i++ {
+		for j := 0; j < m.Cols; j++ {
+			if c := (sparse.Cell{Row: i, Col: j}); !used[c] {
+				return c
+			}
+		}
+	}
+	t.Fatal("no untouched cell left for the injected cycle")
+	return sparse.Cell{}
+}
+
+// chaosServer is an in-process ivmfd on a fixed loopback address that
+// can be drained and restarted on the same data dir.
+type chaosServer struct {
+	dataDir string
+
+	mu   sync.Mutex
+	svc  *Service
+	srv  *http.Server
+	addr string
+}
+
+// open boots the service and binds addr (a restart re-binds the exact
+// address it had). The quarantine cooldown is short so tenant 0's
+// retrying client waits out its quarantine in milliseconds, not the
+// default half minute.
+func (p *chaosServer) open(addr string) error {
+	s, err := Open(Config{DataDir: p.dataDir, QuarantineCooldown: 100 * time.Millisecond})
+	if err != nil {
+		return err
+	}
+	s.Start()
+	var ln net.Listener
+	for attempt := 0; ; attempt++ {
+		if ln, err = net.Listen("tcp", addr); err == nil {
+			break
+		}
+		// The dying listener may not have released the port yet.
+		if attempt >= 100 {
+			_ = s.Close()
+			return err
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	srv := &http.Server{Handler: s.Handler()}
+	go func() { _ = srv.Serve(ln) }()
+	p.mu.Lock()
+	p.svc, p.srv, p.addr = s, srv, ln.Addr().String()
+	p.mu.Unlock()
+	return nil
+}
+
+func (p *chaosServer) base() string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return "http://" + p.addr
+}
+
+// stop drains admitted jobs, shuts the listener down, and closes the
+// store: every acknowledged job is durable before the process "dies".
+func (p *chaosServer) stop() error {
+	p.mu.Lock()
+	s, srv := p.svc, p.srv
+	p.mu.Unlock()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		return err
+	}
+	if err := srv.Shutdown(ctx); err != nil {
+		return err
+	}
+	return s.Close()
+}
+
+// chaosHarness runs the fault injectors of one chaos run.
+type chaosHarness struct {
+	srv  *chaosServer
+	stop chan struct{}
+	kick chan struct{} // closed by the first healthy acknowledgement
+	wg   sync.WaitGroup
+
+	// mu serializes arming with the restart, so failpoints always land on
+	// the live instance; it also guards the counters below.
+	mu              sync.Mutex
+	armed, kicked   bool
+	restarts        int
+	hostile4xx      []int // per hostileEnvelopes entry
+	hostileAccepted int
+	shapes          []int // per disconnectShapes entry
+	errs            []error
+}
+
+func (h *chaosHarness) start(ctx context.Context) {
+	h.wg.Add(3)
+	go h.hostileLoop(ctx)
+	go h.disconnectLoop(ctx)
+	go h.restartLoop(ctx)
+}
+
+// finish stops the injectors once each has covered all its cases.
+func (h *chaosHarness) finish() {
+	close(h.stop)
+	h.wg.Wait()
+}
+
+// stopping reports whether finish was called and covered is true.
+func (h *chaosHarness) stopping(ctx context.Context, covered func() bool) bool {
+	select {
+	case <-ctx.Done():
+		return true
+	case <-h.stop:
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		return covered()
+	default:
+		return false
+	}
+}
+
+// armFailpoints poisons tenant 0 on the live instance: enough executor
+// panics to trip quarantine, plus persist faults. A restart re-arms them
+// (failpoints die with the instance they were armed on).
+func (h *chaosHarness) armFailpoints() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.armed = true
+	h.arm()
+}
+
+func (h *chaosHarness) arm() {
+	s := h.srv.svc
+	s.ArmFailpoint(FailExec, FailpointSpec{Tenant: "tenant-0", Mode: FailPanic, Count: DefaultQuarantineAfter})
+	s.ArmFailpoint(FailPersist, FailpointSpec{Tenant: "tenant-0", Mode: FailError, Count: 2})
+}
+
+func (h *chaosHarness) kickRestart() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if !h.kicked {
+		h.kicked = true
+		close(h.kick)
+	}
+}
+
+// restartLoop drains and restarts the server once, on the first healthy
+// acknowledgement, so the restart lands mid-stream.
+func (h *chaosHarness) restartLoop(ctx context.Context) {
+	defer h.wg.Done()
+	select {
+	case <-h.stop:
+		return
+	case <-ctx.Done():
+		return
+	case <-h.kick:
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	err := h.srv.stop()
+	if err == nil {
+		err = h.srv.open(h.srv.addr)
+	}
+	if err != nil {
+		h.errs = append(h.errs, fmt.Errorf("chaos restart: %w", err))
+		return
+	}
+	h.restarts++
+	if h.armed {
+		h.arm()
+	}
+}
+
+// hostileLoop sends the hostile envelopes in turn until each has drawn a
+// 4xx. A 2xx is a contract violation; 5xx and transport errors are the
+// server legitimately down mid-restart.
+func (h *chaosHarness) hostileLoop(ctx context.Context) {
+	defer h.wg.Done()
+	hc := &http.Client{Timeout: 5 * time.Second}
+	covered := func() bool { return !slices.Contains(h.hostile4xx, 0) }
+	for i := 0; !h.stopping(ctx, covered); i++ {
+		time.Sleep(10 * time.Millisecond)
+		k := i % len(hostileEnvelopes)
+		resp, err := hc.Post(h.srv.base()+"/v1/jobs", "application/json", strings.NewReader(hostileEnvelopes[k]))
+		if err != nil {
+			continue
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		h.mu.Lock()
+		switch {
+		case resp.StatusCode < 400:
+			h.hostileAccepted++
+		case resp.StatusCode < 500:
+			h.hostile4xx[k]++
+		}
+		h.mu.Unlock()
+	}
+}
+
+// disconnectLoop opens raw connections, sends a partial request, and
+// slams them shut, until every shape has gone out at least once.
+func (h *chaosHarness) disconnectLoop(ctx context.Context) {
+	defer h.wg.Done()
+	covered := func() bool { return !slices.Contains(h.shapes, 0) }
+	for i := 0; !h.stopping(ctx, covered); i++ {
+		time.Sleep(25 * time.Millisecond)
+		conn, err := net.DialTimeout("tcp", strings.TrimPrefix(h.srv.base(), "http://"), time.Second)
+		if err != nil {
+			continue
+		}
+		k := i % len(disconnectShapes)
+		_, err = io.WriteString(conn, disconnectShapes[k])
+		_ = conn.Close()
+		if err == nil {
+			h.mu.Lock()
+			h.shapes[k]++
+			h.mu.Unlock()
+		}
+	}
+}
+
+// chaosOutcome is one tenant's accounting.
+type chaosOutcome struct {
+	err         error        // a contract violation or harness failure
+	chain       oracle.Chain // the oracle's replay of the acknowledged jobs
+	mismatches  int          // verified cells that differed from chain
+	verified    int          // acknowledged versions verified
+	injected    int          // jobs failed by an injected fault (tenant 0)
+	busy        int          // submissions rejected 429/503 (tenant 0)
+	predictErrs int
+	retries     int64
+}
+
+// drive runs one tenant: decompose, then the updates in order, each
+// waited for, while one closed-loop worker keeps predicting. Healthy
+// tenants verify the served model against the oracle at every
+// acknowledged version; tenant 0 absorbs the injected faults.
+func (h *chaosHarness) drive(ctx context.Context, p chaosPlan) (o chaosOutcome) {
+	// Retries cover a full drain-and-restart on connection errors alone;
+	// idempotency keys make retried submissions exactly-once.
+	c := &Client{Base: h.srv.base(), Retry: &RetryPolicy{
+		MaxAttempts: 10, BaseBackoff: 25 * time.Millisecond, MaxBackoff: time.Second, Seed: p.seed,
+	}}
+	defer func() { o.retries = c.Retries() }()
+
+	// run submits one job and waits for it; tolerated means the job was
+	// lost to an injected fault on tenant 0.
+	run := func(k int, req Request) (tolerated bool, err error) {
+		var info JobInfo
+		for {
+			info, err = c.SubmitIdem(ctx, req, fmt.Sprintf("%s:%d", p.tenant, k))
+			var apiErr *APIError
+			if p.chaotic && errors.As(err, &apiErr) &&
+				(apiErr.Status == http.StatusTooManyRequests || apiErr.Status == http.StatusServiceUnavailable) {
+				o.busy++
+				return true, nil
+			}
+			if err != nil {
+				return false, err
+			}
+			id := info.ID
+			info, err = c.WaitJob(ctx, id, 2*time.Millisecond)
+			if p.chaotic && errors.As(err, &apiErr) && apiErr.Status == http.StatusNotFound {
+				// The restart forgot a job that failed unacknowledged;
+				// the same key resubmits it.
+				continue
+			}
+			if err != nil {
+				return false, fmt.Errorf("job %d lost: %w", id, err)
+			}
+			break
+		}
+		switch {
+		case info.State == JobDone:
+			return false, nil
+		case info.State == JobFailed && p.chaotic && injectedFailure(info.Error):
+			o.injected++
+			return true, nil
+		default:
+			return false, fmt.Errorf("job %d ended %s: %s", info.ID, info.State, info.Error)
+		}
+	}
+
+	if _, err := run(0, p.jobs[0]); err != nil {
+		o.err = err
+		return o
+	}
+	if p.chaotic {
+		h.armFailpoints()
+	} else if o.err = o.chain.Apply(oracle.Job(p.jobs[0])); o.err != nil {
+		return o
+	}
+
+	stop := make(chan struct{})
+	done := make(chan int)
+	go func() {
+		rng := rand.New(rand.NewSource(p.seed * 1000))
+		errs := 0
+		for {
+			select {
+			case <-stop:
+				done <- errs
+				return
+			default:
+			}
+			cells := make([][2]int, chaosPredictCell)
+			for i := range cells {
+				cells[i] = [2]int{rng.Intn(p.rows), rng.Intn(p.cols)}
+			}
+			if _, err := c.Predict(ctx, p.tenant, cells); err != nil {
+				errs++
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		o.predictErrs = <-done
+	}()
+
+	for k, req := range p.jobs[1:] {
+		tolerated, err := run(k+1, req)
+		if err != nil {
+			o.err = fmt.Errorf("update %d: %w", k, err)
+			return o
+		}
+		if p.chaotic || tolerated {
+			continue
+		}
+		h.kickRestart()
+		if o.err = o.chain.Apply(oracle.Job(req)); o.err != nil {
+			return o
+		}
+		resp, err := c.Predict(ctx, p.tenant, p.probes)
+		if err != nil {
+			o.err = fmt.Errorf("update %d: verify predict: %w", k, err)
+			return o
+		}
+		mm, err := o.chain.Check(p.probes, servedWire(resp))
+		if err != nil {
+			o.err = err
+			return o
+		}
+		o.mismatches += len(mm)
+		o.verified++
+	}
+	return o
+}
+
+// injectedFailure recognizes a job failure caused by the harness's own
+// faults (panic, injected store error, quarantine fallout).
+func injectedFailure(msg string) bool {
+	for _, marker := range []string{"panicked", "injected", "store unavailable", "deadline"} {
+		if strings.Contains(msg, marker) {
+			return true
+		}
+	}
+	return false
 }

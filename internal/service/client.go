@@ -15,8 +15,8 @@ import (
 )
 
 // Client is a small typed client for the ivmfd HTTP API, shared by the
-// load generator (cmd/ivmfload), the end-to-end tests, and external
-// callers. With Retry set it transparently retries transient failures —
+// serving benchmark (servebench/), the end-to-end and chaos tests, and
+// external callers. With Retry set it transparently retries transient failures —
 // connection errors, 429 backpressure, 503 degradation — with bounded,
 // jittered exponential backoff, honoring the server's Retry-After.
 // Mutations are retried only when the submission carries an

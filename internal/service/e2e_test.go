@@ -2,9 +2,9 @@ package service
 
 // End-to-end test over a real HTTP round trip: an in-process ivmfd
 // serves a base decomposition plus a three-delta stream, and every
-// served prediction must match the offline DecomposeSparse + Update
-// chain bitwise — the service is a transport around the library, never
-// a different numerical path.
+// served prediction must match the oracle's offline replay of the same
+// envelopes bitwise — the service is a transport around the library,
+// never a different numerical path.
 
 import (
 	"context"
@@ -16,8 +16,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/interval"
+	"repro/internal/oracle"
 	"repro/internal/sparse"
 )
 
@@ -37,9 +38,15 @@ func TestServiceEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reqs := []Request{{
+		Tenant: tenant, Kind: "decompose", Method: "ISVD4",
+		Rank: rank, Target: "b", Min: 1, Max: 5, COO: cooText(t, baseCSR),
+	}}
+	for _, patch := range deltas {
+		reqs = append(reqs, Request{Tenant: tenant, Kind: "update", Delta: deltaText(t, rows, cols, patch)})
+	}
 	probes := probeCells(rows, cols, 10, 31)
-	want := offlineChain(t, baseCSR, deltas,
-		core.Options{Rank: rank, Target: core.TargetB}, 1, 5, probes)
+	want := offlineStates(t, probes, reqs...)
 
 	s := New(Config{})
 	s.Start()
@@ -65,23 +72,19 @@ func TestServiceEndToEnd(t *testing.T) {
 		if resp.Version != wantVersion {
 			t.Fatalf("stage %d served version %d, want %d", stage, resp.Version, wantVersion)
 		}
+		for _, m := range oracle.Diff(probes, servedWire(resp), want[stage]) {
+			t.Errorf("stage %d %v", stage, m)
+		}
 		for ci, p := range resp.Predictions {
-			exp := want[stage][ci]
-			if p.Row != probes[ci][0] || p.Col != probes[ci][1] {
-				t.Fatalf("stage %d cell %d echoed (%d,%d), want %v", stage, ci, p.Row, p.Col, probes[ci])
-			}
-			if p.Lo != exp.Lo || p.Hi != exp.Hi || p.Mid != exp.Mid() {
-				t.Errorf("stage %d cell %v: served [%v,%v] mid %v, offline [%v,%v] mid %v",
-					stage, probes[ci], p.Lo, p.Hi, p.Mid, exp.Lo, exp.Hi, exp.Mid())
+			if p.Row != probes[ci][0] || p.Col != probes[ci][1] || p.Mid != (interval.Interval{Lo: p.Lo, Hi: p.Hi}).Mid() {
+				t.Fatalf("stage %d cell %d echoed (%d,%d) mid %v, want %v mid of [%v,%v]",
+					stage, ci, p.Row, p.Col, p.Mid, probes[ci], p.Lo, p.Hi)
 			}
 		}
 	}
 
 	// Base decomposition.
-	info, err := c.Submit(ctx, Request{
-		Tenant: tenant, Kind: "decompose", Method: "ISVD4",
-		Rank: rank, Target: "b", Min: 1, Max: 5, COO: cooText(t, baseCSR),
-	})
+	info, err := c.Submit(ctx, reqs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,10 +98,8 @@ func TestServiceEndToEnd(t *testing.T) {
 
 	// Delta stream, one at a time so the versions step with the offline
 	// chain (waiting between submissions also means no coalescing).
-	for k, patch := range deltas {
-		info, err := c.Submit(ctx, Request{
-			Tenant: tenant, Kind: "update", Delta: deltaText(t, rows, cols, patch),
-		})
+	for k, req := range reqs[1:] {
+		info, err := c.Submit(ctx, req)
 		if err != nil {
 			t.Fatalf("delta %d: %v", k, err)
 		}

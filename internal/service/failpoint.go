@@ -8,10 +8,9 @@ import (
 
 // Failpoints are injectable fault sites in the executor and persist
 // paths — the service-layer counterpart of the store's fault-injection
-// filesystem. Tests and the chaos harness (cmd/ivmfload -chaos) arm
-// them to force errors, panics, or hangs at exact points; production
-// code never arms any, and an unarmed site is a single mutex-guarded
-// map lookup.
+// filesystem. Tests (TestChaos among them) arm them to force errors,
+// panics, or hangs at exact points; production code never arms any, and
+// an unarmed site is a single mutex-guarded map lookup.
 
 // Failpoint sites.
 const (

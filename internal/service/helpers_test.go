@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/interval"
+	"repro/internal/oracle"
 	"repro/internal/sparse"
 )
 
@@ -158,4 +160,68 @@ func waitJob(tb testing.TB, s *Service, id uint64) JobInfo {
 	}
 	tb.Fatalf("job %d did not finish", id)
 	return JobInfo{}
+}
+
+// replay runs acknowledged job envelopes through the offline oracle.
+func replay(tb testing.TB, reqs ...Request) *oracle.Chain {
+	tb.Helper()
+	c := &oracle.Chain{}
+	for _, r := range reqs {
+		if err := c.Apply(oracle.Job(r)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return c
+}
+
+// gridCells lists every cell of a rows x cols model.
+func gridCells(rows, cols int) [][2]int {
+	cells := make([][2]int, 0, rows*cols)
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			cells = append(cells, [2]int{i, j})
+		}
+	}
+	return cells
+}
+
+// served reads a snapshot's answers for cells.
+func served(tb testing.TB, snap *Snapshot, cells [][2]int) []interval.Interval {
+	tb.Helper()
+	out := make([]interval.Interval, len(cells))
+	for k, c := range cells {
+		iv, err := snap.Pred.PredictInterval(c[0], c[1])
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out[k] = iv
+	}
+	return out
+}
+
+// servedWire converts an HTTP predict answer for the oracle.
+func servedWire(resp *PredictResponse) []interval.Interval {
+	out := make([]interval.Interval, len(resp.Predictions))
+	for k, p := range resp.Predictions {
+		out[k] = interval.Interval{Lo: p.Lo, Hi: p.Hi}
+	}
+	return out
+}
+
+// assertServed pins a tenant's served answers over every cell, bitwise,
+// to the oracle's replay of its acknowledged jobs.
+func assertServed(tb testing.TB, s *Service, tenant string, acked ...Request) {
+	tb.Helper()
+	snap := s.Snapshot(tenant)
+	if snap == nil {
+		tb.Fatalf("tenant %q has no snapshot", tenant)
+	}
+	cells := gridCells(snap.Rows, snap.Cols)
+	mm, err := replay(tb, acked...).Check(cells, served(tb, snap, cells))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if len(mm) > 0 {
+		tb.Fatalf("tenant %q: %d cells differ from the offline chain, first %v", tenant, len(mm), mm[0])
+	}
 }

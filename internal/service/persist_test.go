@@ -3,10 +3,10 @@ package service
 import (
 	"context"
 	"errors"
-	"math"
 	"testing"
 	"time"
 
+	"repro/internal/oracle"
 	"repro/internal/sparse"
 	"repro/internal/store"
 )
@@ -27,17 +27,18 @@ func persistService(t *testing.T, fs *store.MemFS, cfg Config) *Service {
 	return s
 }
 
-// decomposeTenant runs one decompose job to completion and returns the
-// base matrix.
-func decomposeTenant(t *testing.T, s *Service, tenant string) *sparse.ICSR {
+// decomposeReq is the decompose envelope of the persistence tests.
+func decomposeReq(t *testing.T, tenant string) Request {
 	t.Helper()
 	m := testMatrix(t, 7, persistRows, persistCols, 0.4)
-	info := mustSubmit(t, s, Request{
-		Tenant: tenant, Kind: "decompose", Rank: 3, Target: "b", Min: 1, Max: 5,
-		COO: cooText(t, m),
-	})
-	waitJob(t, s, info.ID)
-	return m
+	return Request{Tenant: tenant, Kind: "decompose", Rank: 3, Target: "b", Min: 1, Max: 5,
+		COO: cooText(t, m)}
+}
+
+// decomposeTenant runs one decompose job to completion.
+func decomposeTenant(t *testing.T, s *Service, tenant string) {
+	t.Helper()
+	waitJob(t, s, mustSubmit(t, s, decomposeReq(t, tenant)).ID)
 }
 
 // persistPatch builds the k-th deterministic update patch.
@@ -48,12 +49,27 @@ func persistPatch(k int) []sparse.ITriplet {
 	}
 }
 
+// patchReq is the envelope of the k-th refresh-never update.
+func patchReq(t *testing.T, tenant string, k int) Request {
+	t.Helper()
+	return Request{Tenant: tenant, Kind: "update", Refresh: "never",
+		Delta: deltaText(t, persistRows, persistCols, persistPatch(k))}
+}
+
+// patchChain is the envelope sequence of a tenant that decomposed with
+// decomposeReq and then acknowledged the given patches.
+func patchChain(t *testing.T, tenant string, acked ...int) []Request {
+	t.Helper()
+	reqs := []Request{decomposeReq(t, tenant)}
+	for _, k := range acked {
+		reqs = append(reqs, patchReq(t, tenant, k))
+	}
+	return reqs
+}
+
 func submitPatch(t *testing.T, s *Service, tenant string, k int) JobInfo {
 	t.Helper()
-	return mustSubmit(t, s, Request{
-		Tenant: tenant, Kind: "update", Refresh: "never",
-		Delta: deltaText(t, persistRows, persistCols, persistPatch(k)),
-	})
+	return mustSubmit(t, s, patchReq(t, tenant, k))
 }
 
 func drain(t *testing.T, s *Service) {
@@ -65,28 +81,17 @@ func drain(t *testing.T, s *Service) {
 	}
 }
 
-// samePredictions pins two snapshots to bitwise-identical served
-// intervals over the whole matrix.
+// samePredictions pins two snapshots to the same identity and
+// bitwise-identical served intervals over the whole matrix.
 func samePredictions(t *testing.T, got, want *Snapshot) {
 	t.Helper()
 	if got.Version != want.Version || got.JobID != want.JobID {
 		t.Fatalf("snapshot identity (version %d, job %d), want (version %d, job %d)",
 			got.Version, got.JobID, want.Version, want.JobID)
 	}
-	for i := 0; i < persistRows; i++ {
-		for j := 0; j < persistCols; j++ {
-			a, err := want.Pred.PredictInterval(i, j)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := got.Pred.PredictInterval(i, j)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Float64bits(a.Lo) != math.Float64bits(b.Lo) || math.Float64bits(a.Hi) != math.Float64bits(b.Hi) {
-				t.Fatalf("cell (%d,%d): recovered [%v,%v], want bitwise [%v,%v]", i, j, b.Lo, b.Hi, a.Lo, a.Hi)
-			}
-		}
+	cells := gridCells(want.Rows, want.Cols)
+	if mm := oracle.Diff(cells, served(t, got, cells), served(t, want, cells)); len(mm) > 0 {
+		t.Fatalf("recovered %v", mm[0])
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"regexp"
-	"sort"
 	"strings"
 	"time"
 
@@ -278,21 +277,6 @@ func validateRequest(req *Request) (*jobRequest, error) {
 			return nil, fmt.Errorf("service: update payload has no cells")
 		}
 		jr.patchRows, jr.patchCols = rows, cols
-		// Sort exactly like dataset.ReadDeltaCOO so the served update
-		// chain stays bitwise-comparable to an offline replay of the same
-		// delta files.
-		sort.Slice(batch.Patch, func(a, b int) bool {
-			if batch.Patch[a].Row != batch.Patch[b].Row {
-				return batch.Patch[a].Row < batch.Patch[b].Row
-			}
-			return batch.Patch[a].Col < batch.Patch[b].Col
-		})
-		sort.Slice(batch.Tombstones, func(a, b int) bool {
-			if batch.Tombstones[a].Row != batch.Tombstones[b].Row {
-				return batch.Tombstones[a].Row < batch.Tombstones[b].Row
-			}
-			return batch.Tombstones[a].Col < batch.Tombstones[b].Col
-		})
 		jr.patch = batch.Patch
 		jr.unpatch = batch.Tombstones
 		jr.bytes = int64(len(jr.patch))*40 + int64(len(jr.unpatch))*16

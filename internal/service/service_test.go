@@ -9,49 +9,27 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/interval"
-	"repro/internal/recommend"
+	"repro/internal/oracle"
 	"repro/internal/service/sched"
 	"repro/internal/sparse"
 )
 
-// offlineChain replays the service's exact execution recipe outside the
-// service: one updatable decomposition, then one functional Update per
-// delta, with the same options the executor resolves. It returns the
-// probe-cell predictions after the decomposition (index 0) and after
-// each delta.
-func offlineChain(tb testing.TB, base *sparse.ICSR, deltas [][]sparse.ITriplet,
-	opts core.Options, min, max float64, probes [][2]int) [][]interval.Interval {
+// offlineStates replays reqs through the oracle and returns the probe
+// predictions after each job (index 0: the decomposition).
+func offlineStates(tb testing.TB, probes [][2]int, reqs ...Request) [][]interval.Interval {
 	tb.Helper()
-	opts.Updatable = true
-	d, err := core.DecomposeSparse(base, core.ISVD4, opts)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	read := func(d *core.Decomposition) []interval.Interval {
-		pred, err := recommend.FromSparseDecomposition(d, min, max)
-		if err != nil {
+	var c oracle.Chain
+	states := make([][]interval.Interval, len(reqs))
+	for k, r := range reqs {
+		if err := c.Apply(oracle.Job(r)); err != nil {
 			tb.Fatal(err)
 		}
-		out := make([]interval.Interval, len(probes))
-		for ci, c := range probes {
-			iv, err := pred.PredictInterval(c[0], c[1])
-			if err != nil {
-				tb.Fatal(err)
-			}
-			out[ci] = iv
-		}
-		return out
-	}
-	states := [][]interval.Interval{read(d)}
-	for _, patch := range deltas {
-		d, err = d.Update(core.Delta{Patch: patch}, core.Options{})
-		if err != nil {
+		var err error
+		if states[k], err = c.Predict(probes); err != nil {
 			tb.Fatal(err)
 		}
-		states = append(states, read(d))
 	}
 	return states
 }
@@ -87,20 +65,22 @@ func TestSnapshotSwapConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	const tenant = "swap-test"
+	reqs := []Request{{
+		Tenant: tenant, Kind: "decompose", Method: "ISVD4",
+		Rank: rank, Target: "b", Min: 1, Max: 5, COO: cooText(t, baseCSR),
+	}}
+	for _, patch := range deltas {
+		reqs = append(reqs, Request{Tenant: tenant, Kind: "update", Delta: deltaText(t, rows, cols, patch)})
+	}
 	probes := probeCells(rows, cols, 16, 17)
-	want := offlineChain(t, baseCSR, deltas,
-		core.Options{Rank: rank, Target: core.TargetB}, 1, 5, probes)
+	want := offlineStates(t, probes, reqs...)
 
 	s := New(Config{})
 	s.Start()
 	defer s.Drain(context.Background())
 
-	const tenant = "swap-test"
-	info := mustSubmit(t, s, Request{
-		Tenant: tenant, Kind: "decompose", Method: "ISVD4",
-		Rank: rank, Target: "b", Min: 1, Max: 5, COO: cooText(t, baseCSR),
-	})
-	waitJob(t, s, info.ID)
+	waitJob(t, s, mustSubmit(t, s, reqs[0]).ID)
 
 	stop := make(chan struct{})
 	errs := make(chan error, readers)
@@ -125,18 +105,18 @@ func TestSnapshotSwapConsistency(t *testing.T) {
 					return
 				}
 				lastVersion = snap.Version
-				exp := want[snap.Version-1]
+				got := make([]interval.Interval, len(probes))
 				for ci, c := range probes {
 					iv, err := snap.Pred.PredictInterval(c[0], c[1])
 					if err != nil {
 						errs <- err
 						return
 					}
-					if iv != exp[ci] {
-						errs <- fmt.Errorf("version %d cell %v: got %+v, want %+v (torn read?)",
-							snap.Version, c, iv, exp[ci])
-						return
-					}
+					got[ci] = iv
+				}
+				if mm := oracle.Diff(probes, got, want[snap.Version-1]); len(mm) > 0 {
+					errs <- fmt.Errorf("version %d %v (torn read?)", snap.Version, mm[0])
+					return
 				}
 			}
 		}()
@@ -144,11 +124,8 @@ func TestSnapshotSwapConsistency(t *testing.T) {
 
 	// Apply the deltas one at a time, waiting for each, so versions step
 	// 2, 3, ... with no coalescing — exactly the offline chain.
-	for _, patch := range deltas {
-		info := mustSubmit(t, s, Request{
-			Tenant: tenant, Kind: "update", Delta: deltaText(t, rows, cols, patch),
-		})
-		waitJob(t, s, info.ID)
+	for _, req := range reqs[1:] {
+		waitJob(t, s, mustSubmit(t, s, req).ID)
 	}
 	close(stop)
 	wg.Wait()
@@ -214,8 +191,9 @@ func TestCoalescedUpdates(t *testing.T) {
 	m := testMatrix(t, 7, rows, cols, 0.4)
 	s := New(Config{})
 
-	dec := mustSubmit(t, s, Request{Tenant: "c", Kind: "decompose", Rank: 5, Target: "b",
-		Min: 1, Max: 5, COO: cooText(t, m)})
+	decReq := Request{Tenant: "c", Kind: "decompose", Rank: 5, Target: "b",
+		Min: 1, Max: 5, COO: cooText(t, m)}
+	dec := mustSubmit(t, s, decReq)
 	patches := [][]sparse.ITriplet{
 		{{Row: 1, Col: 2, Lo: 2, Hi: 3}, {Row: 4, Col: 5, Lo: 1, Hi: 1.5}},
 		{{Row: 1, Col: 2, Lo: 4, Hi: 4.5}}, // overwrites the first patch's cell
@@ -263,18 +241,8 @@ func TestCoalescedUpdates(t *testing.T) {
 		{Row: 4, Col: 5, Lo: 1, Hi: 1.5},
 		{Row: 6, Col: 0, Lo: 3, Hi: 3},
 	}
-	probes := probeCells(rows, cols, 12, 23)
-	want := offlineChain(t, m, [][]sparse.ITriplet{merged},
-		core.Options{Rank: 5, Target: core.TargetB}, 1, 5, probes)[1]
-	for ci, c := range probes {
-		iv, err := snap.Pred.PredictInterval(c[0], c[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if iv != want[ci] {
-			t.Errorf("cell %v: coalesced %+v, offline merged %+v", c, iv, want[ci])
-		}
-	}
+	assertServed(t, s, "c", decReq, Request{Tenant: "c", Kind: "update",
+		Delta: deltaText(t, rows, cols, merged)})
 }
 
 func TestSubmitRejections(t *testing.T) {

@@ -1,15 +1,12 @@
 package service
 
 import (
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/recommend"
 	"repro/internal/sparse"
 	"repro/internal/store"
 )
@@ -27,8 +24,8 @@ func deltaBatchText(tb testing.TB, rows, cols int, batch dataset.DeltaBatch) str
 
 // TestWindowUpdateEndToEnd drives a sliding-window update — cell
 // patches, tombstones, and a forgetting factor in one request — through
-// the service, pins the served predictions bitwise to the offline
-// engine replay of the same delta, and then crashes and recovers the
+// the service, pins the served predictions bitwise to the oracle's
+// replay of the same envelopes, and then crashes and recovers the
 // store to prove the WAL carries the full window delta (tombstones, λ,
 // ortho budget) bit-exactly across a restart.
 func TestWindowUpdateEndToEnd(t *testing.T) {
@@ -38,11 +35,11 @@ func TestWindowUpdateEndToEnd(t *testing.T) {
 	s := persistService(t, fs, Config{})
 	s.Start()
 	m := testMatrix(t, 7, rows, cols, 0.5)
-	info := mustSubmit(t, s, Request{
+	decReq := Request{
 		Tenant: "w", Kind: "decompose", Rank: 3, Target: "b", Min: 1, Max: 5,
 		COO: cooText(t, m),
-	})
-	waitJob(t, s, info.ID)
+	}
+	waitJob(t, s, mustSubmit(t, s, decReq).ID)
 
 	// Tombstone two stored cells, patch two others, decay by λ = 0.9.
 	var tombs []sparse.Cell
@@ -60,44 +57,15 @@ func TestWindowUpdateEndToEnd(t *testing.T) {
 		},
 		Tombstones: tombs,
 	}
-	text := deltaBatchText(t, rows, cols, batch)
-	info = mustSubmit(t, s, Request{
-		Tenant: "w", Kind: "update", Delta: text, Forget: 0.9, Refresh: "never",
-	})
-	waitJob(t, s, info.ID)
+	updReq := Request{
+		Tenant: "w", Kind: "update", Delta: deltaBatchText(t, rows, cols, batch), Forget: 0.9, Refresh: "never",
+	}
+	waitJob(t, s, mustSubmit(t, s, updReq).ID)
 	snap := s.Snapshot("w")
 	if snap == nil || snap.Version != 2 {
 		t.Fatalf("snapshot after window update: %+v", snap)
 	}
-
-	// Offline replay: ReadDeltaCOO yields the exact (row,col)-sorted
-	// delta the service derives, so the chains are comparable bitwise.
-	parsed, err := dataset.ReadDeltaCOO(strings.NewReader(text), m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := core.DecomposeSparse(m, core.ISVD4, core.Options{Rank: 3, Target: core.TargetB, Updatable: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, err := d.Update(core.Delta{Forget: 0.9, Patch: parsed.Patch, Unpatch: parsed.Tombstones},
-		core.Options{Refresh: core.RefreshNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	offline := reconstructPredictions(t, d2, 1, 5, rows, cols)
-	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			iv, err := snap.Pred.PredictInterval(i, j)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Float64bits(iv.Lo) != math.Float64bits(offline[i][j].Lo) ||
-				math.Float64bits(iv.Hi) != math.Float64bits(offline[i][j].Hi) {
-				t.Fatalf("cell (%d,%d): served %+v, offline %+v", i, j, iv, offline[i][j])
-			}
-		}
-	}
+	assertServed(t, s, "w", decReq, updReq)
 
 	// The health gauges exist for the tenant, and /readyz carries the
 	// per-tenant health detail.
@@ -138,50 +106,10 @@ func TestWindowUpdateEndToEnd(t *testing.T) {
 	if got == nil {
 		t.Fatal("tenant not recovered")
 	}
-	if got.Version != want.Version || got.JobID != want.JobID {
-		t.Fatalf("recovered identity (v%d, job %d), want (v%d, job %d)",
-			got.Version, got.JobID, want.Version, want.JobID)
-	}
-	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			a, err := want.Pred.PredictInterval(i, j)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := got.Pred.PredictInterval(i, j)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Float64bits(a.Lo) != math.Float64bits(b.Lo) || math.Float64bits(a.Hi) != math.Float64bits(b.Hi) {
-				t.Fatalf("cell (%d,%d) after crash: [%v,%v], want bitwise [%v,%v]", i, j, b.Lo, b.Hi, a.Lo, a.Hi)
-			}
-		}
-	}
+	samePredictions(t, got, want)
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// reconstructPredictions reads the full prediction grid off a
-// decomposition through the same recommend path the service uses.
-func reconstructPredictions(tb testing.TB, d *core.Decomposition, min, max float64, rows, cols int) [][]struct{ Lo, Hi float64 } {
-	tb.Helper()
-	pred, err := recommend.FromSparseDecomposition(d, min, max)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	out := make([][]struct{ Lo, Hi float64 }, rows)
-	for i := range out {
-		out[i] = make([]struct{ Lo, Hi float64 }, cols)
-		for j := 0; j < cols; j++ {
-			iv, err := pred.PredictInterval(i, j)
-			if err != nil {
-				tb.Fatal(err)
-			}
-			out[i][j] = struct{ Lo, Hi float64 }{iv.Lo, iv.Hi}
-		}
-	}
-	return out
 }
 
 // TestHealthEscalationMetrics walks the escalation ladder through the

@@ -278,7 +278,7 @@ func (s *Store) replayWAL(tenant string, gen uint64, rec *Recovered, opts core.O
 		}
 		return fmt.Errorf("read log: %w", err)
 	}
-	fileGen, version, payloads, validLen, err := scanWAL(data)
+	fileGen, payloads, validLen, err := scanWAL(data)
 	if err == nil && fileGen != gen {
 		err = fmt.Errorf("store: wal: header generation %d in %s", fileGen, walName(gen))
 	}
@@ -288,7 +288,7 @@ func (s *Store) replayWAL(tenant string, gen uint64, rec *Recovered, opts core.O
 		return nil
 	}
 	for i, payload := range payloads {
-		wr, err := DecodeWALRecordVersion(payload, version)
+		wr, err := DecodeWALRecord(payload)
 		if err == nil && wr.Seq != rec.Seq+1 {
 			err = fmt.Errorf("store: wal: record %d has sequence %d, want %d", i, wr.Seq, rec.Seq+1)
 		}
@@ -478,7 +478,7 @@ func (s *Store) repairWAL(path string) error {
 		}
 		return err
 	}
-	_, _, _, validLen, err := scanWAL(data)
+	_, _, validLen, err := scanWAL(data)
 	if err != nil {
 		// Header never became durable; restart the file from scratch.
 		validLen = 0
@@ -491,17 +491,11 @@ func (s *Store) repairWAL(path string) error {
 
 // openWAL opens the generation's log for appending, writing and syncing
 // the header when the file is new. created reports that the file (name)
-// is new and the parent directory needs a sync. A surviving
-// previous-format log is transcoded to the current format first:
-// appending current-format records after a legacy header would leave a
-// file no decoder handles.
+// is new and the parent directory needs a sync.
 func (s *Store) openWAL(path string, gen uint64) (File, bool, error) {
 	size, err := s.fs.Size(path)
 	switch {
 	case err == nil && size >= walHeaderLen:
-		if err := s.transcodeWAL(path); err != nil {
-			return nil, false, err
-		}
 		f, err := s.fs.OpenAppend(path)
 		return f, false, err
 	case err == nil:
@@ -525,49 +519,6 @@ func (s *Store) openWAL(path string, gen uint64) (File, bool, error) {
 		return nil, false, err
 	}
 	return f, true, nil
-}
-
-// transcodeWAL rewrites a legacy-format log in the current format:
-// every record decodes under its own version and re-encodes in the
-// current layout, with the semantics unchanged (fields the old format
-// lacked read as absent). The rewrite is crash-ordered like a snapshot
-// — temp file, content fsync, rename, directory fsync — so a crash
-// leaves either the intact old log or the intact new one. Current-
-// format logs return immediately.
-func (s *Store) transcodeWAL(path string) error {
-	data, err := s.fs.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	gen, version, payloads, _, err := scanWAL(data)
-	if err != nil || version == walVersion {
-		// An unreadable header is the repair path's problem, not ours.
-		return nil
-	}
-	out := walHeader(gen)
-	for i, payload := range payloads {
-		rec, err := DecodeWALRecordVersion(payload, version)
-		if err != nil {
-			return fmt.Errorf("transcode record %d: %w", i, err)
-		}
-		enc, err := EncodeWALRecord(rec)
-		if err != nil {
-			return fmt.Errorf("transcode record %d: %w", i, err)
-		}
-		out = append(out, frameWALRecord(enc)...)
-	}
-	tmp := path + ".tmp"
-	if err := s.writeFileDurable(tmp, out); err != nil {
-		return err
-	}
-	if err := s.fs.Rename(tmp, path); err != nil {
-		return err
-	}
-	dir := path
-	if i := strings.LastIndexByte(dir, '/'); i >= 0 {
-		dir = dir[:i]
-	}
-	return s.fs.SyncDir(dir)
 }
 
 // writeFileDurable writes name with synced content. The name itself

@@ -218,112 +218,6 @@ func TestWALRecordRoundTrip(t *testing.T) {
 	}
 }
 
-// encodeWALRecordV2 reproduces the legacy v2 payload layout so the
-// compatibility tests can fabricate old logs without keeping dead
-// encoder code in the package proper.
-func encodeWALRecordV2(t *testing.T, rec *WALRecord) []byte {
-	t.Helper()
-	v3, err := EncodeWALRecord(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// v2 = v3 minus the two f64 fields (orthoBudget, forget) that sit
-	// after the 28-byte fixed prefix; valid only for v2-expressible
-	// records (no tombstones, no forgetting, zero ortho budget).
-	if rec.OrthoBudget != 0 || rec.Delta.Forget != 0 || len(rec.Delta.Unpatch) != 0 ||
-		len(rec.Delta.RemoveRows) != 0 || len(rec.Delta.RemoveCols) != 0 {
-		t.Fatal("record not expressible in WAL v2")
-	}
-	return append(append([]byte(nil), v3[:28]...), v3[44:]...)
-}
-
-func TestWALDecodeLegacyV2(t *testing.T) {
-	rows := lowRankICSR(2, 11, 1, rand.New(rand.NewSource(9)))
-	rec := &WALRecord{Seq: 2, JobID: 7, Refresh: core.RefreshAuto, RefreshBudget: 0.125,
-		Acked: []IdemAck{{JobID: 7, Key: "k-1"}},
-		Delta: core.Delta{AppendRows: rows, Patch: testPatch(rows, 1)}}
-	payload := encodeWALRecordV2(t, rec)
-	got, err := DecodeWALRecordVersion(payload, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Seq != 2 || got.JobID != 7 || got.Refresh != core.RefreshAuto ||
-		got.RefreshBudget != 0.125 || got.OrthoBudget != 0 || got.Delta.Forget != 0 {
-		t.Fatalf("legacy decode meta %+v", got)
-	}
-	if got.Delta.AppendRows == nil || len(got.Delta.Patch) != len(rec.Delta.Patch) || len(got.Acked) != 1 {
-		t.Fatalf("legacy decode delta %+v", got.Delta)
-	}
-	if _, err := DecodeWALRecordVersion(payload, 4); err == nil {
-		t.Fatal("unsupported version accepted")
-	}
-}
-
-func TestRecoverLegacyV2LogAndTranscode(t *testing.T) {
-	fs := NewMemFS()
-	s, _ := Open("data", Options{FS: fs})
-	c := makeChain(t, core.ISVD4, 3)
-	ps, _ := c.states[0].ExportState()
-	if err := s.SaveSnapshot("tt", ps, SnapshotMeta{Seq: 1, JobID: 1}); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-
-	// Fabricate the generation's log in the legacy v2 format, as a
-	// pre-upgrade server would have left it.
-	walPath := "data/tt/" + walName(1)
-	img := append([]byte(nil), walMagicV2...)
-	img = binary.LittleEndian.AppendUint64(img, 1)
-	for _, rec := range c.recs[:2] {
-		img = append(img, frameWALRecord(encodeWALRecordV2(t, rec))...)
-	}
-	f, err := fs.Create(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(img); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	var events []Event
-	s2, _ := Open("data", Options{FS: fs, OnEvent: func(e Event) { events = append(events, e) }})
-	rec, err := s2.Recover("tt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Seq != 3 || rec.Replayed != 2 {
-		t.Fatalf("recovered meta = %+v", rec)
-	}
-	bitwiseEqual(t, "legacy replay", rec.Decomp, c.states[2])
-	for _, e := range events {
-		t.Errorf("unexpected event %+v", e)
-	}
-	// Appending to the legacy log transcodes it to the current format
-	// first; the whole chain then recovers bitwise.
-	if _, err := s2.AppendDelta("tt", c.recs[2]); err != nil {
-		t.Fatal(err)
-	}
-	s2.Close()
-	data, err := fs.ReadFile(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data[:8]) != walMagic {
-		t.Fatalf("log not transcoded: magic %q", data[:8])
-	}
-	s3, _ := Open("data", Options{FS: fs})
-	defer s3.Close()
-	rec3, err := s3.Recover("tt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec3.Seq != 4 || rec3.Replayed != 3 {
-		t.Fatalf("post-transcode meta = %+v", rec3)
-	}
-	bitwiseEqual(t, "post-transcode", rec3.Decomp, c.states[3])
-}
-
 // chain precomputes an update chain: states[0] is the base
 // decomposition (seq 1), states[i] the state after applying deltas[:i].
 type chain struct {
@@ -565,6 +459,82 @@ func TestRecoverQuarantinesCorruptSnapshotAndDegrades(t *testing.T) {
 	}
 	if !quarantined {
 		t.Fatalf("no quarantined file in %v", names)
+	}
+
+}
+
+// legacyV2Log fabricates a generation-1 log under the retired v2 header,
+// as a pre-upgrade server would have left it.
+func legacyV2Log(t *testing.T, rec *WALRecord) []byte {
+	t.Helper()
+	payload, err := EncodeWALRecord(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(binary.LittleEndian.AppendUint64([]byte("IVMFWAL2"), 1), frameWALRecord(payload)...)
+}
+
+// TestWALDecodeLegacyV2 pins that a log with the retired v2 header is
+// not decoded: scanning it fails whole with ErrWALFormat, and the error
+// names the format it found.
+func TestWALDecodeLegacyV2(t *testing.T) {
+	c := makeChain(t, core.ISVD3, 1)
+	legacy := legacyV2Log(t, c.recs[0])
+	gen, payloads, validLen, err := scanWAL(legacy)
+	if !errors.Is(err, ErrWALFormat) || !strings.Contains(err.Error(), "IVMFWAL2") {
+		t.Fatalf("v2 header error = %v, want ErrWALFormat naming IVMFWAL2", err)
+	}
+	if gen != 0 || len(payloads) != 0 || validLen != 0 {
+		t.Fatalf("v2 log partly scanned: gen=%d payloads=%d validLen=%d", gen, len(payloads), validLen)
+	}
+}
+
+// TestRecoverLegacyV2LogAndTranscode pins what replaced transcoding a
+// v2 log: recovery quarantines it whole (it is not truncated, replayed
+// or appended to), reports it through EventWALCorrupt naming the
+// format, serves the snapshot, and logs afresh in the current format.
+func TestRecoverLegacyV2LogAndTranscode(t *testing.T) {
+	fs := NewMemFS()
+	s, _ := Open("data", Options{FS: fs})
+	c := makeChain(t, core.ISVD3, 2)
+	ps1, _ := c.states[1].ExportState()
+	if err := s.SaveSnapshot("v2", ps1, SnapshotMeta{Seq: 2, JobID: 100}); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	walPath := "data/v2/" + walName(1)
+	legacy := legacyV2Log(t, c.recs[1])
+	f, err := fs.Create(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Write(legacy)
+	f.Sync()
+	f.Close()
+	fs.SyncDir("data/v2")
+
+	var events []Event
+	s2, _ := Open("data", Options{FS: fs, OnEvent: func(e Event) { events = append(events, e) }})
+	defer s2.Close()
+	rec, err := s2.Recover("v2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Seq != 2 || rec.Replayed != 0 || rec.Degraded {
+		t.Fatalf("recovered over a v2 log: %+v", rec)
+	}
+	bitwiseEqual(t, "v2 log quarantined", rec.Decomp, c.states[1])
+	if len(events) != 1 || events[0].Kind != EventWALCorrupt || !strings.Contains(events[0].Detail, "IVMFWAL2") {
+		t.Fatalf("v2 log events = %v, want one %s naming the format", events, EventWALCorrupt)
+	}
+	if kept, err := fs.ReadFile(walPath + ".corrupt"); err != nil || string(kept) != string(legacy) {
+		t.Fatalf("quarantined v2 log altered: %v", err)
+	}
+	if _, err := s2.AppendDelta("v2", c.recs[1]); err != nil {
+		t.Fatal(err)
+	}
+	if data, err := fs.ReadFile(walPath); err != nil || string(data[:8]) != walMagic {
+		t.Fatalf("fresh log after quarantine: %q, %v", data[:min(8, len(data))], err)
 	}
 }
 

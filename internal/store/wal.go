@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -25,7 +26,7 @@ import (
 //	u64 seq, u64 jobID
 //	u32 refresh policy, f64 refresh budget   (the Update options that
 //	                                          change results)
-//	f64 ortho budget, f64 forget λ           (v3: the health guardrail
+//	f64 ortho budget, f64 forget λ           (the health guardrail
 //	                                          option and the delta's
 //	                                          forgetting factor, 0 =
 //	                                          absent for both)
@@ -34,18 +35,17 @@ import (
 //	                                    by this record, one per
 //	                                    coalesced job that carried one)
 //	u8 flags: bit0 append-rows, bit1 append-cols, bit2 patch,
-//	          bit3 unpatch, bit4 remove-rows, bit5 remove-cols (v3)
+//	          bit3 unpatch, bit4 remove-rows, bit5 remove-cols
 //	per present ICSR: u32 rows, u32 cols, u64 nnz,
 //	                  i64 rowptr[rows+1], i64 colind[nnz],
 //	                  f64 lo[nnz], f64 hi[nnz]
 //	patch:   u64 count, then per cell i64 row, i64 col, f64 lo, f64 hi
-//	unpatch: u64 count, then per cell i64 row, i64 col      (v3)
-//	remove-rows, remove-cols: u64 count, then i64 indices   (v3)
+//	unpatch: u64 count, then per cell i64 row, i64 col
+//	remove-rows, remove-cols: u64 count, then i64 indices
 //
-// Version 2 ("IVMFWAL2") is decoded for recovery: it has no ortho
-// budget or forget fields (both read as 0 = absent) and only flag bits
-// 0..2. Appends always write v3; openWAL transcodes a surviving v2 log
-// to v3 before appending, so a log file is never mixed-version.
+// This is the only format read. A log in the retired v2 layout
+// ("IVMFWAL2") fails with ErrWALFormat, and recovery quarantines it
+// like any other unreadable log.
 //
 // Recovery tolerates a torn tail — a crash mid-append leaves a partial
 // final record — by scanning records in order and truncating the file
@@ -55,14 +55,12 @@ import (
 
 const (
 	walMagic     = "IVMFWAL3"
-	walMagicV2   = "IVMFWAL2"
 	walHeaderLen = 16
-
-	// walVersion is the version appends write; scanWAL reports which
-	// version a log file carries so records decode under their own
-	// layout.
-	walVersion = 3
 )
+
+// ErrWALFormat reports a log whose header is not the current format's,
+// such as one written in the retired "IVMFWAL2" layout.
+var ErrWALFormat = errors.New("store: wal: unsupported log format")
 
 // MaxIdemKeyLen bounds an idempotency key's byte length in both on-disk
 // formats (the snapshot header reserves a fixed field of this size).
@@ -103,8 +101,7 @@ type WALRecord struct {
 	Delta core.Delta
 }
 
-// EncodeWALRecord serializes one record payload in the current (v3)
-// layout, framing excluded.
+// EncodeWALRecord serializes one record payload, framing excluded.
 func EncodeWALRecord(rec *WALRecord) ([]byte, error) {
 	d := &rec.Delta
 	if d.AppendRows == nil && d.AppendCols == nil && len(d.Patch) == 0 &&
@@ -194,40 +191,25 @@ func EncodeWALRecord(rec *WALRecord) ([]byte, error) {
 	return b, nil
 }
 
-// DecodeWALRecord parses one record payload in the current (v3) layout.
-// Like the snapshot decoder it never panics and bounds every allocation
-// by the payload length.
+// DecodeWALRecord parses one record payload. Like the snapshot decoder
+// it never panics and bounds every allocation by the payload length.
 //
 //ivmf:deterministic
 func DecodeWALRecord(b []byte) (*WALRecord, error) {
-	return DecodeWALRecordVersion(b, walVersion)
-}
-
-// DecodeWALRecordVersion parses one record payload under the layout of
-// the given log version (as reported by scanWAL), so recovery can
-// replay logs written before the current format.
-//
-//ivmf:deterministic
-func DecodeWALRecordVersion(b []byte, version int) (*WALRecord, error) {
-	if version != 2 && version != 3 {
-		return nil, fmt.Errorf("store: wal: unsupported version %d", version)
-	}
 	r := &walReader{b: b}
 	rec := &WALRecord{}
 	rec.Seq = r.u64("seq")
 	rec.JobID = r.u64("jobID")
 	rec.Refresh = core.Refresh(r.u32("refresh"))
 	rec.RefreshBudget = math.Float64frombits(r.u64("refreshBudget"))
-	if version >= 3 {
-		rec.OrthoBudget = math.Float64frombits(r.u64("orthoBudget"))
-		rec.Delta.Forget = math.Float64frombits(r.u64("forget"))
-		if r.err == nil {
-			if rec.OrthoBudget < 0 || math.IsNaN(rec.OrthoBudget) || math.IsInf(rec.OrthoBudget, 0) {
-				return nil, fmt.Errorf("store: wal: ortho budget %v invalid", rec.OrthoBudget)
-			}
-			if f := rec.Delta.Forget; f != 0 && !(f > 0 && f <= 1) {
-				return nil, fmt.Errorf("store: wal: forgetting factor %v outside (0, 1]", f)
-			}
+	rec.OrthoBudget = math.Float64frombits(r.u64("orthoBudget"))
+	rec.Delta.Forget = math.Float64frombits(r.u64("forget"))
+	if r.err == nil {
+		if rec.OrthoBudget < 0 || math.IsNaN(rec.OrthoBudget) || math.IsInf(rec.OrthoBudget, 0) {
+			return nil, fmt.Errorf("store: wal: ortho budget %v invalid", rec.OrthoBudget)
+		}
+		if f := rec.Delta.Forget; f != 0 && !(f > 0 && f <= 1) {
+			return nil, fmt.Errorf("store: wal: forgetting factor %v outside (0, 1]", f)
 		}
 	}
 	if count := int(r.u16("acked count")); r.err == nil && count > 0 {
@@ -250,12 +232,8 @@ func DecodeWALRecordVersion(b []byte, version int) (*WALRecord, error) {
 			rec.Acked = append(rec.Acked, IdemAck{JobID: jobID, Key: string(key)})
 		}
 	}
-	maxFlags := byte(7)
-	if version >= 3 {
-		maxFlags = 63
-	}
 	flags := r.u8("flags")
-	if r.err == nil && flags > maxFlags {
+	if r.err == nil && flags > 63 {
 		return nil, fmt.Errorf("store: wal: record flags %#x invalid at offset %d", flags, r.off-1)
 	}
 	if r.err == nil && flags == 0 && rec.Delta.Forget == 0 {
@@ -453,22 +431,16 @@ func frameWALRecord(payload []byte) []byte {
 // record payloads until the first frame that doesn't hold — a torn tail
 // from a crash mid-append, or tail corruption. validLen is the byte
 // length of the intact prefix; the caller truncates the file there
-// before appending again. A corrupt header fails the whole file. Both
-// the current magic and the legacy v2 magic are accepted; version
-// reports which layout the record payloads use.
+// before appending again. A header of any other format, the retired v2
+// included, fails the whole file with ErrWALFormat.
 //
 //ivmf:deterministic
-func scanWAL(data []byte) (gen uint64, version int, payloads [][]byte, validLen int64, err error) {
+func scanWAL(data []byte) (gen uint64, payloads [][]byte, validLen int64, err error) {
 	if len(data) < walHeaderLen {
-		return 0, 0, nil, 0, fmt.Errorf("store: wal: bad magic (have %d bytes)", len(data))
+		return 0, nil, 0, fmt.Errorf("store: wal: bad magic (have %d bytes)", len(data))
 	}
-	switch string(data[:8]) {
-	case walMagic:
-		version = walVersion
-	case walMagicV2:
-		version = 2
-	default:
-		return 0, 0, nil, 0, fmt.Errorf("store: wal: bad magic (have %d bytes)", len(data))
+	if magic := string(data[:8]); magic != walMagic {
+		return 0, nil, 0, fmt.Errorf("%w: magic %q (this build reads only %q)", ErrWALFormat, magic, walMagic)
 	}
 	gen = binary.LittleEndian.Uint64(data[8:16])
 	off := walHeaderLen
@@ -489,5 +461,5 @@ func scanWAL(data []byte) (gen uint64, version int, payloads [][]byte, validLen 
 		payloads = append(payloads, payload)
 		off += 8 + plen
 	}
-	return gen, version, payloads, int64(off), nil
+	return gen, payloads, int64(off), nil
 }
