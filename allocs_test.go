@@ -108,15 +108,12 @@ func TestTopNAllocationBudget(t *testing.T) {
 	}
 }
 
-// TestWideSVDAllocationBudget guards the wide-matrix branch of eig.SVD:
-// the transpose is written once into a workspace that the tall-matrix
-// core then consumes in place (TransposeInto + svdTallOwned), instead of
-// allocating a transposed copy and cloning it again. For this 80×200
-// input the decomposition allocates ~193 KB/run; reintroducing the extra
-// m·n clone (+128 KB) trips the budget.
-func TestWideSVDAllocationBudget(t *testing.T) {
+// svdBytesPerRun returns the bytes eig.SVD allocates per call on a
+// seeded rows×cols Gaussian input, at one worker.
+func svdBytesPerRun(t *testing.T, rows, cols int) float64 {
+	t.Helper()
 	rng := rand.New(rand.NewSource(12))
-	m := matrix.New(80, 200)
+	m := matrix.New(rows, cols)
 	for i := range m.Data {
 		m.Data[i] = rng.NormFloat64()
 	}
@@ -134,8 +131,26 @@ func TestWideSVDAllocationBudget(t *testing.T) {
 		}
 	}
 	runtime.ReadMemStats(&after)
-	bytesPerRun := float64(after.TotalAlloc-before.TotalAlloc) / runs
-	if bytesPerRun > 250000 {
-		t.Fatalf("wide SVD allocated %.0f bytes/run, want <= 250000 (one transpose workspace, no extra clone)", bytesPerRun)
+	return float64(after.TotalAlloc-before.TotalAlloc) / runs
+}
+
+// TestWideSVDAllocationBudget guards the wide-matrix branch of eig.SVD:
+// a wide input is already the column-major layout of its tall
+// transpose, so it is cloned once into the working matrix, which then
+// becomes V by an in-place transpose (a one-bit-per-element visit mask,
+// not a second copy). For this 80×200 input the decomposition allocates
+// ~197 KB/run; an extra m·n copy (+128 KB) trips the budget.
+func TestWideSVDAllocationBudget(t *testing.T) {
+	if b := svdBytesPerRun(t, 80, 200); b > 250000 {
+		t.Fatalf("wide SVD allocated %.0f bytes/run, want <= 250000 (one working copy, transposed back in place)", b)
+	}
+}
+
+// TestTallSVDAllocationBudget is the tall branch under the same budget:
+// a 200×80 input is transposed once into the column-major working
+// matrix, which becomes U by an in-place transpose.
+func TestTallSVDAllocationBudget(t *testing.T) {
+	if b := svdBytesPerRun(t, 200, 80); b > 250000 {
+		t.Fatalf("tall SVD allocated %.0f bytes/run, want <= 250000 (one working copy, transposed back in place)", b)
 	}
 }

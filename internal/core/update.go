@@ -822,9 +822,10 @@ func (o updateOperand) applyHi(v *matrix.Dense) *matrix.Dense {
 
 // warmSolve re-decomposes one factor side from the updated matrix,
 // seeded with the current factors: on drifted data the warm-started
-// truncated solver converges in a sweep or two. Falls back to the cold
-// routed solver (and ultimately the dense full solver) when the
-// truncated iteration is not profitable or does not converge.
+// truncated solver converges in a sweep or two. When the truncated
+// iteration is not routed or does not converge (a flat spectrum, as on
+// ratings data), it densifies the endpoint and runs the full
+// Golub-Reinsch eig.SVD, which then dominates the update's cost.
 func warmSolve(csr *sparse.CSR, prev *eig.SVDResult, rank int, solver eig.Solver) (*eig.SVDResult, error) {
 	minDim := csr.Rows
 	if csr.Cols < minDim {

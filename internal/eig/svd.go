@@ -21,20 +21,36 @@ type SVDResult struct {
 // SVD computes the thin singular value decomposition of a by the
 // Golub-Reinsch algorithm (Householder bidiagonalization followed by
 // implicit-shift QR on the bidiagonal). The input is not modified.
+//
+// The algorithm runs on the tall orientation (a itself when
+// Rows >= Cols, aᵀ otherwise) with its working matrix and V held
+// column-major: column j of the tall working matrix is row j of one
+// workspace, so every reflection, accumulation and Givens sweep walks
+// contiguous memory. A wide input is already that layout and is cloned
+// once; a tall input is transposed once into the workspace. At the end
+// both factors are transposed back in place (the workspace becomes U,
+// or V for a wide input). Every element sees the same arithmetic in the
+// same order as the row-major textbook loops, so the result is bitwise
+// the same; TestSVDBitwiseDigests pins it.
 func SVD(a *matrix.Dense) (*SVDResult, error) {
-	if a.Rows >= a.Cols {
-		return svdTallOwned(a.Clone())
+	wide := a.Rows < a.Cols
+	var work *matrix.Dense
+	if wide {
+		work = a.Clone()
+	} else {
+		work = matrix.TransposeInto(matrix.New(a.Cols, a.Rows), a)
 	}
-	// Wide matrix: decompose the transpose and swap factors. The
-	// transpose is written once into a fresh workspace that svdTallOwned
-	// then consumes in place (it becomes U) — the former a.T() followed
-	// by an internal Clone allocated and copied the m·n buffer twice.
-	at := matrix.TransposeInto(matrix.New(a.Cols, a.Rows), a)
-	res, err := svdTallOwned(at)
+	w, vt, err := golubReinsch(work)
 	if err != nil {
 		return nil, err
 	}
-	return &SVDResult{U: res.V, S: res.S, V: res.U}, nil
+	u, v := work.TransposeInPlace(), vt.TransposeInPlace()
+	sortSVD(u, w, v)
+	canonicalizeSVDSigns(u, v)
+	if wide {
+		return &SVDResult{U: v, S: w, V: u}, nil
+	}
+	return &SVDResult{U: u, S: w, V: v}, nil
 }
 
 // Truncate returns the rank-r truncation of the decomposition as a fully
@@ -53,14 +69,25 @@ func (r *SVDResult) Truncate(rank int) *SVDResult {
 	}
 }
 
-// svdTallOwned computes the SVD of a matrix with Rows >= Cols, consuming
-// its argument: a is overwritten in place and becomes U in the result.
-// Callers that need their matrix afterwards pass a.Clone().
-func svdTallOwned(a *matrix.Dense) (*SVDResult, error) {
-	m, n := a.Rows, a.Cols
-	v := matrix.New(n, n)
-	w := make([]float64, n)
+// golubReinsch runs the Golub-Reinsch iteration on the tall m×n matrix
+// A (m >= n) given column-major as ut (n×m, ut[j][k] = A[k][j]),
+// consuming it: ut is overwritten with Uᵀ. It returns the unsorted
+// singular values and Vᵀ (n×n, same layout).
+func golubReinsch(ut *matrix.Dense) (w []float64, vt *matrix.Dense, err error) {
+	n, m := ut.Rows, ut.Cols
+	a := ut.Data // a[j*m+k] = A[k][j]: column j is a[j*m : (j+1)*m]
+	vt = matrix.New(n, n)
+	v := vt.Data // v[j*n+k] = V[k][j]
+	// col returns column j of a column-major matrix. The sweeps below
+	// reslice paired columns to a common length (cj = cj[:len(ci)]) so
+	// the compiler drops the inner loops' bounds checks.
+	col := func(d []float64, stride, j int) []float64 { return d[j*stride : (j+1)*stride] }
+	w = make([]float64, n)
 	rv1 := make([]float64, n)
+	// scratch holds rowReflect's per-row dot products (indexed by row,
+	// so concurrent chunks write disjoint ranges) and, during the
+	// right-hand accumulation, a gathered copy of row i of A.
+	scratch := make([]float64, m)
 
 	var c, f, h, s, x, y, z float64
 	var anorm, g, scale float64
@@ -78,54 +105,83 @@ func svdTallOwned(a *matrix.Dense) (*SVDResult, error) {
 	// vector in column svI, so the columns shard independently onto the
 	// pool (dot product and update keep their serial k order per column).
 	colReflect := func(jlo, jhi int) {
+		ci := col(a, m, svI)[svI:]
 		for j := svL + jlo; j < svL+jhi; j++ {
+			cj := col(a, m, j)[svI:]
+			cj = cj[:len(ci)]
 			sj := 0.0
-			for k := svI; k < m; k++ {
-				sj += a.At(k, svI) * a.At(k, j)
+			for k, x := range ci {
+				sj += x * cj[k]
 			}
 			fj := sj / svF
-			for k := svI; k < m; k++ {
-				a.Set(k, j, a.At(k, j)+fj*a.At(k, svI))
+			for k, x := range ci {
+				cj[k] += fj * x
 			}
 		}
 	}
 	// Rows j > svI are reflected against the fixed row svI; independent
-	// across j, sharded on the pool.
+	// across j, sharded on the pool. Rows are strided in this layout, so
+	// the chunk's dot products accumulate side by side in scratch with
+	// k as the outer loop: each row's sum still adds its terms in
+	// ascending k, and the update then sweeps the same contiguous
+	// column segments.
 	rowReflect := func(jlo, jhi int) {
-		for j := svL + jlo; j < svL+jhi; j++ {
-			sj := 0.0
-			for k := svL; k < n; k++ {
-				sj += a.At(j, k) * a.At(svI, k)
+		lo, hi := svL+jlo, svL+jhi
+		sums := scratch[lo:hi]
+		clear(sums)
+		for k := svL; k < n; k++ {
+			ck := col(a, m, k)
+			aik, seg := ck[svI], ck[lo:hi]
+			seg = seg[:len(sums)]
+			for t, x := range seg {
+				sums[t] += x * aik
 			}
-			for k := svL; k < n; k++ {
-				a.Set(j, k, a.At(j, k)+sj*rv1[k])
+		}
+		for k := svL; k < n; k++ {
+			seg := col(a, m, k)[lo:hi]
+			seg = seg[:len(sums)]
+			rk := rv1[k]
+			for t, sj := range sums {
+				seg[t] += sj * rk
 			}
 		}
 	}
 	// Columns j > svI of V transform independently against the (already
-	// written) column svI; sharded on the pool.
+	// written) column svI, with row svI of A gathered into scratch;
+	// sharded on the pool.
 	vAccumulate := func(jlo, jhi int) {
+		ai := scratch[svL:n]
+		vi := col(v, n, svI)[svL:]
+		vi = vi[:len(ai)]
 		for j := svL + jlo; j < svL+jhi; j++ {
+			vj := col(v, n, j)[svL:]
+			vj = vj[:len(ai)]
 			sj := 0.0
-			for k := svL; k < n; k++ {
-				sj += a.At(svI, k) * v.At(k, j)
+			for k, x := range ai {
+				sj += x * vj[k]
 			}
-			for k := svL; k < n; k++ {
-				v.Set(k, j, v.At(k, j)+sj*v.At(k, svI))
+			for k, x := range vi {
+				vj[k] += sj * x
 			}
 		}
 	}
 	// Columns j > svI transform independently against column svI;
 	// sharded on the pool.
 	uAccumulate := func(jlo, jhi int) {
+		ci := col(a, m, svI)[svI:]
+		aii, ciL := ci[0], ci[svL-svI:]
 		for j := svL + jlo; j < svL+jhi; j++ {
+			cj := col(a, m, j)[svI:]
+			cj = cj[:len(ci)]
+			cjL := cj[svL-svI:]
+			cjL = cjL[:len(ciL)]
 			sj := 0.0
-			for k := svL; k < m; k++ {
-				sj += a.At(k, svI) * a.At(k, j)
+			for k, x := range ciL {
+				sj += x * cjL[k]
 			}
-			fj := (sj / a.At(svI, svI)) * svF
-			for k := svI; k < m; k++ {
-				a.Set(k, j, a.At(k, j)+fj*a.At(k, svI))
+			fj := (sj / aii) * svF
+			for k, x := range ci {
+				cj[k] += fj * x
 			}
 		}
 	}
@@ -135,53 +191,54 @@ func svdTallOwned(a *matrix.Dense) (*SVDResult, error) {
 		l = i + 1
 		rv1[i] = scale * g
 		g, s, scale = 0, 0, 0
-		if i < m {
+		ci := col(a, m, i)
+		for k := i; k < m; k++ {
+			scale += math.Abs(ci[k])
+		}
+		if scale != 0 {
 			for k := i; k < m; k++ {
-				scale += math.Abs(a.At(k, i))
+				ci[k] /= scale
+				s += ci[k] * ci[k]
 			}
-			if scale != 0 {
-				for k := i; k < m; k++ {
-					a.Set(k, i, a.At(k, i)/scale)
-					s += a.At(k, i) * a.At(k, i)
-				}
-				f = a.At(i, i)
-				g = -math.Copysign(math.Sqrt(s), f)
-				h = f*g - s
-				a.Set(i, i, f-g)
-				if i != n-1 {
-					svI, svL, svF = i, l, h
-					parallel.For(n-l, parallel.Grain(4*(m-i)), colReflect)
-				}
-				for k := i; k < m; k++ {
-					a.Set(k, i, a.At(k, i)*scale)
-				}
+			f = ci[i]
+			g = -math.Copysign(math.Sqrt(s), f)
+			h = f*g - s
+			ci[i] = f - g
+			if i != n-1 {
+				svI, svL, svF = i, l, h
+				parallel.For(n-l, parallel.Grain(4*(m-i)), colReflect)
+			}
+			for k := i; k < m; k++ {
+				ci[k] *= scale
 			}
 		}
 		w[i] = scale * g
 
+		// Row i of A is strided (a[k*m+i]); these O(n) passes are
+		// negligible next to the sweeps.
 		g, s, scale = 0, 0, 0
-		if i < m && i != n-1 {
+		if i != n-1 {
 			for k := l; k < n; k++ {
-				scale += math.Abs(a.At(i, k))
+				scale += math.Abs(a[k*m+i])
 			}
 			if scale != 0 {
 				for k := l; k < n; k++ {
-					a.Set(i, k, a.At(i, k)/scale)
-					s += a.At(i, k) * a.At(i, k)
+					a[k*m+i] /= scale
+					s += a[k*m+i] * a[k*m+i]
 				}
-				f = a.At(i, l)
+				f = a[l*m+i]
 				g = -math.Copysign(math.Sqrt(s), f)
 				h = f*g - s
-				a.Set(i, l, f-g)
+				a[l*m+i] = f - g
 				for k := l; k < n; k++ {
-					rv1[k] = a.At(i, k) / h
+					rv1[k] = a[k*m+i] / h
 				}
 				if i != m-1 {
 					svI, svL = i, l
 					parallel.For(m-l, parallel.Grain(4*(n-l)), rowReflect)
 				}
 				for k := l; k < n; k++ {
-					a.Set(i, k, a.At(i, k)*scale)
+					a[k*m+i] *= scale
 				}
 			}
 		}
@@ -190,20 +247,23 @@ func svdTallOwned(a *matrix.Dense) (*SVDResult, error) {
 
 	// Accumulate right-hand transformations.
 	for i := n - 1; i >= 0; i-- {
+		vi := col(v, n, i)
 		if i < n-1 {
 			if g != 0 {
+				ail := a[l*m+i]
 				for j := l; j < n; j++ {
-					v.Set(j, i, (a.At(i, j)/a.At(i, l))/g)
+					vi[j] = (a[j*m+i] / ail) / g
+					scratch[j] = a[j*m+i]
 				}
 				svI, svL = i, l
 				parallel.For(n-l, parallel.Grain(4*(n-l)), vAccumulate)
 			}
 			for j := l; j < n; j++ {
-				v.Set(i, j, 0)
-				v.Set(j, i, 0)
+				v[j*n+i] = 0
+				vi[j] = 0
 			}
 		}
-		v.Set(i, i, 1)
+		vi[i] = 1
 		g = rv1[i]
 		l = i
 	}
@@ -212,11 +272,10 @@ func svdTallOwned(a *matrix.Dense) (*SVDResult, error) {
 	for i := n - 1; i >= 0; i-- {
 		l = i + 1
 		g = w[i]
-		if i < n-1 {
-			for j := l; j < n; j++ {
-				a.Set(i, j, 0)
-			}
+		for j := l; j < n; j++ {
+			a[j*m+i] = 0
 		}
+		ci := col(a, m, i)
 		if g != 0 {
 			g = 1 / g
 			if i != n-1 {
@@ -224,21 +283,31 @@ func svdTallOwned(a *matrix.Dense) (*SVDResult, error) {
 				parallel.For(n-l, parallel.Grain(4*(m-l)), uAccumulate)
 			}
 			for j := i; j < m; j++ {
-				a.Set(j, i, a.At(j, i)*g)
+				ci[j] *= g
 			}
 		} else {
-			for j := i; j < m; j++ {
-				a.Set(j, i, 0)
-			}
+			clear(ci[i:])
 		}
-		a.Set(i, i, a.At(i, i)+1)
+		ci[i]++
+	}
+
+	// rotate applies one Givens rotation to the column pair (p, q) of
+	// the stride-wide column-major matrix d.
+	rotate := func(d []float64, stride, p, q int, c, s float64) {
+		cp, cq := col(d, stride, p), col(d, stride, q)
+		cq = cq[:len(cp)]
+		for k, y := range cp {
+			z := cq[k]
+			cp[k] = y*c + z*s
+			cq[k] = z*c - y*s
+		}
 	}
 
 	// Diagonalize the bidiagonal form.
 	for k := n - 1; k >= 0; k-- {
 		for its := 0; ; its++ {
 			if its >= maxSVDIterations {
-				return nil, ErrNoConvergence
+				return nil, nil, ErrNoConvergence
 			}
 			flag := true
 			var nm int
@@ -267,12 +336,7 @@ func svdTallOwned(a *matrix.Dense) (*SVDResult, error) {
 					h = 1 / h
 					c = g * h
 					s = -f * h
-					for j := 0; j < m; j++ {
-						y = a.At(j, nm)
-						z = a.At(j, i)
-						a.Set(j, nm, y*c+z*s)
-						a.Set(j, i, z*c-y*s)
-					}
+					rotate(a, m, nm, i, c, s)
 				}
 			}
 			z = w[k]
@@ -280,8 +344,9 @@ func svdTallOwned(a *matrix.Dense) (*SVDResult, error) {
 				// Converged; enforce non-negative singular value.
 				if z < 0 {
 					w[k] = -z
-					for j := 0; j < n; j++ {
-						v.Set(j, k, -v.At(j, k))
+					vk := col(v, n, k)
+					for j := range vk {
+						vk[j] = -vk[j]
 					}
 				}
 				break
@@ -312,12 +377,7 @@ func svdTallOwned(a *matrix.Dense) (*SVDResult, error) {
 				g = g*c - x*s
 				h = y * s
 				y = y * c
-				for jj := 0; jj < n; jj++ {
-					x = v.At(jj, j)
-					z = v.At(jj, i)
-					v.Set(jj, j, x*c+z*s)
-					v.Set(jj, i, z*c-x*s)
-				}
+				rotate(v, n, j, i, c, s)
 				z = math.Hypot(f, h)
 				w[j] = z
 				if z != 0 {
@@ -327,22 +387,14 @@ func svdTallOwned(a *matrix.Dense) (*SVDResult, error) {
 				}
 				f = c*g + s*y
 				x = c*y - s*g
-				for jj := 0; jj < m; jj++ {
-					y = a.At(jj, j)
-					z = a.At(jj, i)
-					a.Set(jj, j, y*c+z*s)
-					a.Set(jj, i, z*c-y*s)
-				}
+				rotate(a, m, j, i, c, s)
 			}
 			rv1[l] = 0
 			rv1[k] = f
 			w[k] = x
 		}
 	}
-
-	sortSVD(a, w, v)
-	canonicalizeSVDSigns(a, v)
-	return &SVDResult{U: a, S: w, V: v}, nil
+	return w, vt, nil
 }
 
 // sortSVD permutes the decomposition so singular values descend. The

@@ -149,3 +149,17 @@ func BenchmarkTruncatedSVDSparseFixedNNZ(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSVDWide141x252 times the full SVD on the dense-fallback shape
+// of a ratings endpoint (MovieLensLike at scale 0.15, ~5% of cells
+// stored): the SVD a warm refresh runs per endpoint when the truncated
+// solve gives up on a flat spectrum.
+func BenchmarkSVDWide141x252(b *testing.B) {
+	a := ratingsLike(rand.New(rand.NewSource(10)), 141, 252, 0.05)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := SVD(a); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

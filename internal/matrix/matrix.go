@@ -131,6 +131,46 @@ func (m *Dense) T() *Dense {
 	return TransposeInto(New(m.Cols, m.Rows), m)
 }
 
+// TransposeInPlace overwrites m with its transpose and swaps Rows and
+// Cols, without a second matrix-sized buffer. A square matrix swaps
+// across the diagonal. A rectangular one follows the cycles of the
+// transposition permutation (the element at flat index p moves to
+// p·Rows mod (Rows·Cols−1)), marking visited slots in a one-bit-per-
+// element mask. Pure data movement: every value keeps its bits.
+func (m *Dense) TransposeInPlace() *Dense {
+	r, c, d := m.Rows, m.Cols, m.Data
+	m.Rows, m.Cols = c, r
+	if r == c {
+		for i := 0; i < r; i++ {
+			for j := i + 1; j < c; j++ {
+				d[i*c+j], d[j*c+i] = d[j*c+i], d[i*c+j]
+			}
+		}
+		return m
+	}
+	if r == 1 || c == 1 {
+		return m
+	}
+	last := len(d) - 1 // slots 0 and last are fixed points
+	visited := make([]uint64, (len(d)+63)/64)
+	for start := 1; start < last; start++ {
+		if visited[start/64]&(1<<(start%64)) != 0 {
+			continue
+		}
+		v := d[start]
+		p := start
+		for {
+			p = p * r % last
+			visited[p/64] |= 1 << (p % 64)
+			v, d[p] = d[p], v
+			if p == start {
+				break
+			}
+		}
+	}
+	return m
+}
+
 // Mul returns the product a·b. It panics on incompatible shapes.
 //
 // The product runs on the cache-blocked kernel of MulInto: sharded over

@@ -91,6 +91,21 @@ func TestTransposeInvolution(t *testing.T) {
 	}
 }
 
+// TestTransposeInPlaceMatchesT checks the in-place transpose against the
+// out-of-place one bitwise, over square, single-row/column and
+// rectangular shapes whose permutation has many short or few long cycles.
+func TestTransposeInPlaceMatchesT(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for _, s := range [][2]int{{1, 1}, {1, 9}, {9, 1}, {2, 2}, {5, 5}, {2, 3}, {3, 2},
+		{4, 8}, {7, 13}, {64, 3}, {3, 64}, {141, 252}, {384, 120}} {
+		a := randDense(r, s[0], s[1])
+		want := a.T()
+		got := a.Clone()
+		got.TransposeInPlace()
+		requireBitwiseEqual(t, "TransposeInPlace", want, got)
+	}
+}
+
 func TestAddSubScaleMean(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}})
 	b := FromRows([][]float64{{3, 10}})

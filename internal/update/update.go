@@ -290,49 +290,29 @@ func extendBasis(u, p *matrix.Dense) (m, j, r *matrix.Dense) {
 // Columns that collapse below gsDropTol of their original norm are
 // zeroed: their content lies in the span of the previous columns and is
 // fully carried by r's off-diagonal coefficients.
+//
+// It is gsRows on the transpose, gsCols(a) = gsRows(aᵀ)ᵀ, with the same
+// arithmetic in the same order: a is transposed once into the q
+// workspace so the sweeps run over contiguous rows, and q and r are
+// transposed back in place.
 func gsCols(a *matrix.Dense) (q, r *matrix.Dense) {
-	dim, c := a.Rows, a.Cols
-	q = a.Clone()
-	r = matrix.New(c, c)
-	col := make([]float64, dim)
-	for jc := 0; jc < c; jc++ {
-		for i := 0; i < dim; i++ {
-			col[i] = q.Data[i*c+jc]
-		}
-		orig := vecNorm(col)
-		for pass := 0; pass < 2; pass++ {
-			for prev := 0; prev < jc; prev++ {
-				var d float64
-				for i := 0; i < dim; i++ {
-					d += col[i] * q.Data[i*c+prev]
-				}
-				for i := 0; i < dim; i++ {
-					col[i] -= d * q.Data[i*c+prev]
-				}
-				r.Data[prev*c+jc] += d
-			}
-		}
-		norm := vecNorm(col)
-		if norm <= orig*gsDropTol || norm == 0 {
-			for i := 0; i < dim; i++ {
-				q.Data[i*c+jc] = 0
-			}
-			continue
-		}
-		r.Data[jc*c+jc] = norm
-		inv := 1 / norm
-		for i := 0; i < dim; i++ {
-			q.Data[i*c+jc] = col[i] * inv
-		}
-	}
-	return q, r
+	q = matrix.TransposeInto(matrix.New(a.Cols, a.Rows), a)
+	r = gsRowsInPlace(q)
+	return q.TransposeInPlace(), r.TransposeInPlace()
 }
 
 // gsRows is gsCols over the rows of a (the append-rows orientation):
 // a = r·q with q's rows orthonormal-or-zero and r lower triangular.
 func gsRows(a *matrix.Dense) (q, r *matrix.Dense) {
-	c := a.Rows
 	q = a.Clone()
+	return q, gsRowsInPlace(q)
+}
+
+// gsRowsInPlace is the Gram-Schmidt core of gsRows and gsCols: it
+// orthonormalizes the rows of q in place, in index order, and returns
+// the lower-triangular coefficients r.
+func gsRowsInPlace(q *matrix.Dense) (r *matrix.Dense) {
+	c := q.Rows
 	r = matrix.New(c, c)
 	for jr := 0; jr < c; jr++ {
 		row := q.RowView(jr)
@@ -340,6 +320,7 @@ func gsRows(a *matrix.Dense) (q, r *matrix.Dense) {
 		for pass := 0; pass < 2; pass++ {
 			for prev := 0; prev < jr; prev++ {
 				prow := q.RowView(prev)
+				prow = prow[:len(row)]
 				var d float64
 				for i, v := range row {
 					d += v * prow[i]
@@ -352,9 +333,7 @@ func gsRows(a *matrix.Dense) (q, r *matrix.Dense) {
 		}
 		norm := vecNorm(row)
 		if norm <= orig*gsDropTol || norm == 0 {
-			for i := range row {
-				row[i] = 0
-			}
+			clear(row)
 			continue
 		}
 		r.Data[jr*c+jr] = norm
@@ -363,7 +342,7 @@ func gsRows(a *matrix.Dense) (q, r *matrix.Dense) {
 			row[i] *= inv
 		}
 	}
-	return q, r
+	return r
 }
 
 // coreGramTol clamps eigenvalues of KᵀK below coreGramTol·λmax to zero:
