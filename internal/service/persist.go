@@ -25,9 +25,10 @@ import (
 const (
 	// DefaultCompactEvery folds the write-ahead log into a fresh
 	// snapshot once it reaches this many records. BENCH_store.json puts
-	// the replay-vs-cold crossover near 25 records in the reference
-	// regime; compacting well before that keeps recovery strictly
-	// cheaper than a cold boot.
+	// the replay-vs-cold crossover near 25 additive records in the
+	// reference regime; compacting well before that keeps recovery
+	// strictly cheaper than a cold boot. An escalated record can cost as
+	// much as a cold boot on its own; persistUpdate compacts after it.
 	DefaultCompactEvery = 8
 	// DefaultPersistRetries and DefaultPersistBackoff bound the retry
 	// loop around transient store failures before a job is failed.
@@ -86,6 +87,7 @@ func (s *Service) recoverTenant(tenant string) error {
 	rows, cols := rec.Decomp.U.Lo.Rows, rec.Decomp.V.Lo.Rows
 	meta := s.newTenantMeta()
 	meta.rows, meta.cols, meta.rank = rows, cols, rec.Decomp.Rank
+	meta.genKeyed.Store(len(rec.Acked) > 0)
 	meta.store.swap(&Snapshot{
 		Version: rec.Seq,
 		JobID:   rec.JobID,
@@ -195,10 +197,17 @@ func (s *Service) persistSnapshot(tenant string, d *core.Decomposition, meta sto
 // persistUpdate appends the update's merged delta to the tenant's
 // write-ahead log (fsynced before return, so acknowledging the job
 // afterwards is safe) and folds the log into a fresh snapshot once it
-// reaches the compaction bound. Compaction failure is deliberately
-// non-fatal: the record is already durable, so the job is acknowledged
-// and compaction retries on a later update.
-func (s *Service) persistUpdate(tenant string, next *Snapshot, rec *store.WALRecord) error {
+// reaches the compaction bound. An escalated update folds it at once:
+// replaying its record re-runs the warm refresh or full redecompose
+// (on flat spectra a dense SVD per endpoint), as costly as a cold
+// boot, while the snapshot costs a fraction of the escalation itself.
+// That early fold is skipped while the generation holds idempotency
+// keys it would retire (the compacted snapshot carries only the
+// publishing job's key), so it never shortens the restart dedupe
+// window. Compaction failure is deliberately non-fatal: the record is
+// already durable, so the job is acknowledged and compaction retries on
+// a later update.
+func (s *Service) persistUpdate(tenant string, meta *tenantMeta, next *Snapshot, escalated bool, rec *store.WALRecord) error {
 	var records int
 	err := s.persist("delta", tenant, func() error {
 		n, err := s.store.AppendDelta(tenant, rec)
@@ -208,21 +217,28 @@ func (s *Service) persistUpdate(tenant string, next *Snapshot, rec *store.WALRec
 	if err != nil {
 		return err
 	}
-	if s.cfg.CompactEvery > 0 && records >= s.cfg.CompactEvery {
-		meta := store.SnapshotMeta{
-			Seq: next.Version, JobID: next.JobID,
-			MinRating: next.Pred.Min, MaxRating: next.Pred.Max,
-		}
-		// The compacted snapshot carries its publishing job's key so the
-		// dedupe window survives the log it retires.
-		for _, a := range rec.Acked {
-			if a.JobID == next.JobID {
-				meta.IdemKey = a.Key
-			}
-		}
-		if err := s.persistSnapshot(tenant, next.Decomp, meta); err != nil {
-			s.metrics.addCounter(mStoreEvents, label("kind", "compaction_deferred"), 1)
+	smeta := store.SnapshotMeta{
+		Seq: next.Version, JobID: next.JobID,
+		MinRating: next.Pred.Min, MaxRating: next.Pred.Max,
+	}
+	// The compacted snapshot carries its publishing job's key so the
+	// dedupe window survives the log it retires.
+	retires := meta.genKeyed.Load()
+	for _, a := range rec.Acked {
+		if a.JobID == next.JobID {
+			smeta.IdemKey = a.Key
+		} else {
+			retires = true
 		}
 	}
+	keyed := meta.genKeyed.Load() || len(rec.Acked) > 0
+	if s.cfg.CompactEvery > 0 && (records >= s.cfg.CompactEvery || escalated && !retires) {
+		if err := s.persistSnapshot(tenant, next.Decomp, smeta); err != nil {
+			s.metrics.addCounter(mStoreEvents, label("kind", "compaction_deferred"), 1)
+		} else {
+			keyed = smeta.IdemKey != ""
+		}
+	}
+	meta.genKeyed.Store(keyed)
 	return nil
 }

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -226,6 +227,75 @@ func TestTransientPersistFailureIsRetried(t *testing.T) {
 	}
 	if n := s.metrics.snapshotCounter(mStoreRetries, label("op", "delta")); n != 1 {
 		t.Fatalf("retry counter = %v, want 1", n)
+	}
+}
+
+// TestEscalatedUpdateCompacts: an update that escalates folds the log
+// at once when that retires no idempotency key, so a reboot maps the
+// snapshot instead of re-running the refresh; the compacted snapshot
+// keeps the publishing job's own key. While the generation holds
+// another job's key the escalated record is logged instead, and the
+// key survives the reboot.
+func TestEscalatedUpdateCompacts(t *testing.T) {
+	for _, c := range []struct {
+		name          string
+		bootKey       string // idempotency key of the decompose
+		refreshKey    string // idempotency key of the escalated update
+		wantSnapshots float64
+		wantReplayed  int
+	}{
+		{"unkeyed", "", "", 2, 1},
+		{"own key carried", "", "u:1", 2, 1},
+		{"boot key kept", "boot:1", "u:1", 1, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			fs := store.NewMemFS()
+			s := persistService(t, fs, Config{})
+			s.Start()
+			info, err := submitEnvelopeIdem(s, decomposeReq(t, "t"), c.bootKey)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitJob(t, s, info.ID)
+			refresh := patchReq(t, "t", 1)
+			refresh.Refresh = "always"
+			if info, err = submitEnvelopeIdem(s, refresh, c.refreshKey); err != nil {
+				t.Fatal(err)
+			}
+			waitJob(t, s, info.ID)
+			// A refresh-never update after it is logged either way.
+			waitJob(t, s, submitPatch(t, s, "t", 2).ID)
+			drain(t, s)
+			if n := s.metrics.snapshotCounter(mStorePersist, label("op", "snapshot")); n != c.wantSnapshots {
+				t.Fatalf("snapshot writes = %v, want %v", n, c.wantSnapshots)
+			}
+
+			fs.Crash()
+			st, err := store.Open("data", store.Options{FS: fs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec, err := st.Recover("t")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec.Seq != 3 || rec.Replayed != c.wantReplayed {
+				t.Fatalf("recovered seq %d with %d replayed records, want 3 and %d", rec.Seq, rec.Replayed, c.wantReplayed)
+			}
+			var keys []string
+			for _, a := range rec.Acked {
+				keys = append(keys, a.Key)
+			}
+			var want []string
+			for _, k := range []string{c.bootKey, c.refreshKey} {
+				if k != "" {
+					want = append(want, k)
+				}
+			}
+			if fmt.Sprint(keys) != fmt.Sprint(want) {
+				t.Fatalf("recovered keys %v, want %v", keys, want)
+			}
+		})
 	}
 }
 

@@ -53,8 +53,9 @@ type Config struct {
 	DataDir string
 	// CompactEvery bounds a tenant's write-ahead log: at this many
 	// records the executor folds the log into a fresh snapshot
-	// generation. 0 means DefaultCompactEvery; negative disables
-	// compaction.
+	// generation, and after an escalated update it folds it at once
+	// when that retires no idempotency key. 0 means
+	// DefaultCompactEvery; negative disables compaction.
 	CompactEvery int
 	// PersistRetries is how many times a failed store write is retried
 	// before the job fails; PersistBackoff is the initial retry delay,
@@ -231,6 +232,10 @@ type tenantMeta struct {
 	rank       int
 	store      *snapStore
 	quar       quarantine
+	// genKeyed reports that the tenant's current store generation (its
+	// snapshot or a logged record) holds an idempotency key, which a
+	// compaction would retire; see persistUpdate.
+	genKeyed atomic.Bool
 }
 
 // Service is the batched decomposition service. Create with New, start
@@ -759,6 +764,7 @@ func (s *Service) runUnit(unit sched.Unit, reqs []*jobRequest, meta *tenantMeta,
 			if err != nil {
 				return 0, err
 			}
+			meta.genKeyed.Store(req.idemKey != "")
 		}
 		meta.store.swap(next)
 		s.publishHealth(unit.Tenant, core.Health{}, d.Health())
@@ -836,6 +842,7 @@ func (s *Service) runUnit(unit sched.Unit, reqs []*jobRequest, meta *tenantMeta,
 		if !claimed.CompareAndSwap(false, true) {
 			return 0, fmt.Errorf("%w: result discarded", errDeadline)
 		}
+		health := d2.Health()
 		if s.store != nil {
 			// The merged delta and the policies that shaped d2 go to the
 			// write-ahead log (fsynced) before the job can be
@@ -850,7 +857,8 @@ func (s *Service) runUnit(unit sched.Unit, reqs []*jobRequest, meta *tenantMeta,
 					acked = append(acked, store.IdemAck{JobID: unit.Jobs[i].ID, Key: req.idemKey})
 				}
 			}
-			err := s.persistUpdate(unit.Tenant, next, &store.WALRecord{
+			escalated := health.Refreshes > prevHealth.Refreshes || health.Redecomposes > prevHealth.Redecomposes
+			err := s.persistUpdate(unit.Tenant, meta, next, escalated, &store.WALRecord{
 				Seq: next.Version, JobID: next.JobID,
 				Refresh: opts.Refresh, RefreshBudget: opts.RefreshBudget,
 				OrthoBudget: opts.OrthoBudget,
@@ -862,7 +870,7 @@ func (s *Service) runUnit(unit sched.Unit, reqs []*jobRequest, meta *tenantMeta,
 			}
 		}
 		meta.store.swap(next)
-		s.publishHealth(unit.Tenant, prevHealth, d2.Health())
+		s.publishHealth(unit.Tenant, prevHealth, health)
 		return next.Version, nil
 	}
 	return 0, fmt.Errorf("service: unknown job kind")
