@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -114,26 +115,23 @@ type Options struct {
 	// output is bitwise identical for any worker count.
 	Solver eig.Solver
 	// Updatable retains the endpoint factor states and a sparse copy of
-	// the input in the returned Decomposition so Update/UpdateSparse can
-	// fold arriving batches (appended rows/cols, cell patches) into the
+	// the input in the returned Decomposition so Update can fold
+	// arriving batches (appended rows/cols, cell patches) into the
 	// factors at delta cost instead of re-decomposing. Unsupported with
 	// ExactAlgebra, and ISVD2-4 additionally require entrywise
 	// non-negative endpoints (see core/update.go).
 	Updatable bool
-	// Refresh selects the incremental-update refresh policy (read by
-	// Update, not Decompose): RefreshAuto (default) re-solves with a
-	// warm-started truncated decomposition when the accumulated
-	// discarded singular mass exceeds RefreshBudget; RefreshNever and
-	// RefreshAlways force a policy.
-	Refresh Refresh
-	// RefreshBudget is the RefreshAuto threshold on the accumulated
-	// relative discarded singular mass (0 = the 1% default).
+	// RefreshBudget is the threshold on the accumulated relative
+	// discarded singular mass past which Update replaces the additive
+	// result with a warm-started truncated re-solve (read by Update, not
+	// Decompose). 0 means the 1% default; math.Inf(1) never trips; any
+	// negative value, canonically math.Inf(-1), trips on every update.
 	RefreshBudget float64
 	// OrthoBudget is the numerical-health guardrail on the factor
-	// states' orthogonality drift ‖QᵀQ−I‖∞, read by Update like Refresh
-	// and RefreshBudget (0 = the 1e-8 default). An update whose additive
+	// states' orthogonality drift ‖QᵀQ−I‖∞, read by Update like
+	// RefreshBudget (0 = the 1e-8 default). An update whose additive
 	// result drifts past it escalates to a full windowed redecompose,
-	// regardless of the Refresh policy — see core/update.go.
+	// whatever the RefreshBudget — see core/update.go.
 	OrthoBudget float64
 	// ExactAlgebra switches ISVD2-4 and TargetA reconstruction from the
 	// paper's Algorithm 1 endpoint products (min/max over the endpoint
@@ -269,18 +267,23 @@ func ParseTarget(s string) (Target, error) {
 	}
 }
 
-// ParseRefresh parses a refresh policy name: "auto", "never", or
-// "always" (any case).
-func ParseRefresh(s string) (Refresh, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "auto":
-		return RefreshAuto, nil
+// WireRefreshBudget maps the wire form of the refresh setting — a
+// policy name "auto", "never" or "always" (any case; empty means auto)
+// and a finite, non-negative budget — to Options.RefreshBudget: auto
+// keeps the budget, never is math.Inf(1), always is math.Inf(-1).
+func WireRefreshBudget(policy string, budget float64) (float64, error) {
+	if budget < 0 || math.IsNaN(budget) || math.IsInf(budget, 0) {
+		return 0, fmt.Errorf("core: bad refreshBudget %g (want finite and non-negative)", budget)
+	}
+	switch strings.ToLower(strings.TrimSpace(policy)) {
+	case "", "auto":
+		return budget, nil
 	case "never":
-		return RefreshNever, nil
+		return math.Inf(1), nil
 	case "always":
-		return RefreshAlways, nil
+		return math.Inf(-1), nil
 	default:
-		return 0, fmt.Errorf("core: unknown refresh policy %q (want auto, never, or always)", s)
+		return 0, fmt.Errorf("core: unknown refresh policy %q (want auto, never, or always)", policy)
 	}
 }
 

@@ -62,7 +62,7 @@ func TestDowndateMatchesFullRecomputeAllMethods(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				d2, err := d.Update(delta, Options{Refresh: RefreshNever})
+				d2, err := d.Update(delta, Options{RefreshBudget: math.Inf(1)})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -98,11 +98,11 @@ func TestAppendThenDowndateRecovers(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				grown, err := d.Update(Delta{AppendRows: slice}, Options{Refresh: RefreshNever})
+				grown, err := d.Update(Delta{AppendRows: slice}, Options{RefreshBudget: math.Inf(1)})
 				if err != nil {
 					t.Fatal(err)
 				}
-				back, err := grown.Update(Delta{RemoveRows: []int{36, 37, 38}}, Options{Refresh: RefreshNever})
+				back, err := grown.Update(Delta{RemoveRows: []int{36, 37, 38}}, Options{RefreshBudget: math.Inf(1)})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -127,7 +127,7 @@ func TestForgetUpdate(t *testing.T) {
 	// λ decays the decomposition exactly like decomposing the decayed
 	// matrix: both the factors and the authoritative matrix scale.
 	lam := 0.5
-	decayed, err := d.Update(Delta{Forget: lam}, Options{Refresh: RefreshNever})
+	decayed, err := d.Update(Delta{Forget: lam}, Options{RefreshBudget: math.Inf(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,18 +144,18 @@ func TestForgetUpdate(t *testing.T) {
 	// λ = 1 is pinned as a bitwise no-op: an update carrying Forget = 1
 	// publishes bit-identical factors to the same update without it.
 	patch, _ := streamPatch(sp, 2, rand.New(rand.NewSource(94)))
-	plain, err := d.Update(Delta{Patch: patch}, Options{Refresh: RefreshNever})
+	plain, err := d.Update(Delta{Patch: patch}, Options{RefreshBudget: math.Inf(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	noop, err := d.Update(Delta{Forget: 1, Patch: patch}, Options{Refresh: RefreshNever})
+	noop, err := d.Update(Delta{Forget: 1, Patch: patch}, Options{RefreshBudget: math.Inf(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkDecompBitwise(t, noop, plain, "forget-1 no-op")
 
 	// A forget-only delta with λ = 1 is still a legal (if trivial) update.
-	if _, err := d.Update(Delta{Forget: 1}, Options{Refresh: RefreshNever}); err != nil {
+	if _, err := d.Update(Delta{Forget: 1}, Options{RefreshBudget: math.Inf(1)}); err != nil {
 		t.Errorf("forget-only λ=1 update rejected: %v", err)
 	}
 
@@ -205,7 +205,7 @@ func TestEscalationLadder(t *testing.T) {
 	// Level 2: orthogonality drift past OrthoBudget forces the full
 	// windowed redecompose — bitwise identical to a cold decomposition of
 	// the updated matrix.
-	redec, err := d.Update(Delta{Patch: patch}, Options{Refresh: RefreshNever, OrthoBudget: 1e-300})
+	redec, err := d.Update(Delta{Patch: patch}, Options{RefreshBudget: math.Inf(1), OrthoBudget: 1e-300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,8 +226,8 @@ func TestEscalationLadder(t *testing.T) {
 // Removing it cancels nearly the whole spectrum against the trailing
 // directions, the factor downdate is ill-conditioned, and the engine
 // must abandon the additive chain and redecompose the windowed matrix —
-// even under RefreshNever, which disables budget refreshes but not the
-// guardrails. The caller sees a successful update, never an error and
+// even under an infinite RefreshBudget, which disables budget refreshes
+// but not the guardrails. The caller sees a successful update, never an error and
 // never damaged factors.
 func TestIllConditionedDowndateEscalates(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
@@ -253,14 +253,14 @@ func TestIllConditionedDowndateEscalates(t *testing.T) {
 	// eigensolve noise alone would otherwise trip the drift guardrail,
 	// which is the right call in production but not the path under test).
 	grown, err := d.Update(Delta{AppendRows: sparse.FromIMatrix(row)},
-		Options{Refresh: RefreshNever, OrthoBudget: 1e6})
+		Options{RefreshBudget: math.Inf(1), OrthoBudget: 1e6})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h := grown.Health(); h.Redecomposes != 0 {
 		t.Fatalf("append escalated early: %+v", h)
 	}
-	d2, err := grown.Update(Delta{RemoveRows: []int{12}}, Options{Refresh: RefreshNever})
+	d2, err := grown.Update(Delta{RemoveRows: []int{12}}, Options{RefreshBudget: math.Inf(1)})
 	if err != nil {
 		t.Fatalf("ill-conditioned downdate surfaced as an error instead of escalating: %v", err)
 	}
@@ -294,7 +294,7 @@ func TestPoisonedStateNeverPublishes(t *testing.T) {
 	d.state.lo.U.Data[0] = math.NaN()
 	// Forget touches only the spectrum, so the NaN survives to the
 	// finiteness gate rather than failing some earlier product.
-	_, err = d.Update(Delta{Forget: 0.5}, Options{Refresh: RefreshNever})
+	_, err = d.Update(Delta{Forget: 0.5}, Options{RefreshBudget: math.Inf(1)})
 	if !errors.Is(err, ErrPoisoned) {
 		t.Fatalf("update on poisoned state: %v, want ErrPoisoned", err)
 	}

@@ -68,7 +68,7 @@ func (o denseOperand) svdMid(opts Options) (*eig.SVDResult, time.Duration, time.
 	avg := o.m.Mid()
 	pre := time.Since(t0)
 	t0 = time.Now()
-	res, err := solverSVD(avg, opts.Rank, opts.Solver)
+	res, err := eig.SVDWith(avg, opts.Rank, opts.Solver)
 	return res, pre, time.Since(t0), err
 }
 
@@ -77,8 +77,8 @@ func (o denseOperand) svdEndpoints(opts Options) (lo, hi *eig.SVDResult, err err
 	// shared pool, bounded by opts.Workers when set.
 	var errLo, errHi error
 	parallel.DoWith(opts.Workers,
-		func() { lo, errLo = solverSVD(o.m.Lo, opts.Rank, opts.Solver) },
-		func() { hi, errHi = solverSVD(o.m.Hi, opts.Rank, opts.Solver) },
+		func() { lo, errLo = eig.SVDWith(o.m.Lo, opts.Rank, opts.Solver) },
+		func() { hi, errHi = eig.SVDWith(o.m.Hi, opts.Rank, opts.Solver) },
 	)
 	if errLo != nil {
 		return nil, nil, fmt.Errorf("min side: %w", errLo)
@@ -110,13 +110,6 @@ func (o denseOperand) mulEndpointsLeft(s *matrix.Dense, opts Options) *imatrix.I
 func (o denseOperand) applyLo(v *matrix.Dense) *matrix.Dense { return matrix.Mul(o.m.Lo, v) }
 func (o denseOperand) applyHi(v *matrix.Dense) *matrix.Dense { return matrix.Mul(o.m.Hi, v) }
 func (o denseOperand) toICSR() *sparse.ICSR                  { return sparse.FromIMatrix(o.m) }
-
-// solverSVD runs one endpoint SVD under the routed solver, truncated to
-// rank (eig.SVDWith: truncated subspace solver when the routing selects
-// it, full decomposition otherwise or on non-convergence fallback).
-func solverSVD(a *matrix.Dense, rank int, solver eig.Solver) (*eig.SVDResult, error) {
-	return eig.SVDWith(a, rank, solver)
-}
 
 // truncatedGramPair runs the truncated symmetric eigensolver on the two
 // endpoint Gram operators concurrently (bounded by workers) and converts

@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestParseMethod(t *testing.T) {
 	good := map[string]Method{
@@ -35,17 +38,32 @@ func TestParseTarget(t *testing.T) {
 	}
 }
 
-func TestParseRefresh(t *testing.T) {
-	good := map[string]Refresh{"auto": RefreshAuto, "NEVER": RefreshNever, " always ": RefreshAlways}
-	for in, want := range good {
-		got, err := ParseRefresh(in)
-		if err != nil || got != want {
-			t.Fatalf("ParseRefresh(%q) = %v, %v; want %v", in, got, err, want)
+func TestWireRefreshBudget(t *testing.T) {
+	good := []struct {
+		policy string
+		budget float64
+		want   float64
+	}{
+		{"", 0, 0},
+		{"auto", 0.25, 0.25},
+		{" AUTO ", 0, 0},
+		{"NEVER", 0.25, math.Inf(1)},
+		{" always ", 5, math.Inf(-1)},
+	}
+	for _, c := range good {
+		got, err := WireRefreshBudget(c.policy, c.budget)
+		if err != nil || got != c.want {
+			t.Fatalf("WireRefreshBudget(%q, %g) = %v, %v; want %v", c.policy, c.budget, got, err, c.want)
 		}
 	}
-	for _, in := range []string{"", "sometimes"} {
-		if _, err := ParseRefresh(in); err == nil {
-			t.Fatalf("ParseRefresh(%q) accepted", in)
+	for _, in := range []string{"sometimes", "auto!"} {
+		if _, err := WireRefreshBudget(in, 0); err == nil {
+			t.Fatalf("WireRefreshBudget(%q) accepted", in)
+		}
+	}
+	for _, b := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := WireRefreshBudget("auto", b); err == nil {
+			t.Fatalf("WireRefreshBudget budget %v accepted", b)
 		}
 	}
 }
@@ -60,11 +78,6 @@ func TestParseRoundTrip(t *testing.T) {
 	for _, tg := range Targets() {
 		if got, err := ParseTarget(tg.String()); err != nil || got != tg {
 			t.Fatalf("target %v round trip: %v, %v", tg, got, err)
-		}
-	}
-	for _, r := range []Refresh{RefreshAuto, RefreshNever, RefreshAlways} {
-		if got, err := ParseRefresh(r.String()); err != nil || got != r {
-			t.Fatalf("refresh %v round trip: %v, %v", r, got, err)
 		}
 	}
 }

@@ -28,50 +28,18 @@ import (
 //
 // Each additive update discards singular mass when the batch pushes
 // content past the kept rank; the engine accumulates the discarded
-// fraction and, under the default RefreshAuto policy, schedules a
-// warm-started truncated re-solve (eig.TruncatedSVDOpts seeded with the
-// current factors — one or two sweeps on drifted data) when the running
-// total trips Options.RefreshBudget. The additive path, the refresh
+// fraction and schedules a warm-started truncated re-solve
+// (eig.TruncatedSVDOpts seeded with the current factors — one or two
+// sweeps on drifted data) when the running total exceeds
+// Options.RefreshBudget. The additive path, the refresh
 // path, and the downstream stages all run on the deterministic kernels,
 // so updated decompositions are bitwise identical for any worker count.
 
-// Refresh selects the refresh policy of incremental updates
-// (Options.Refresh).
-type Refresh int
-
-const (
-	// RefreshAuto (the zero value) applies the additive factor update
-	// and schedules a warm-started truncated re-solve when the
-	// accumulated discarded singular mass exceeds Options.RefreshBudget.
-	RefreshAuto Refresh = iota
-	// RefreshNever always applies the additive update, letting the
-	// caller manage accuracy (Decomposition.UpdateResidual exposes the
-	// accumulated budget use).
-	RefreshNever
-	// RefreshAlways re-solves on every batch (warm-started, so still far
-	// cheaper than a cold decomposition) — the most accurate and most
-	// expensive policy.
-	RefreshAlways
-)
-
-// String returns "auto", "never", or "always".
-func (r Refresh) String() string {
-	switch r {
-	case RefreshAuto:
-		return "auto"
-	case RefreshNever:
-		return "never"
-	case RefreshAlways:
-		return "always"
-	default:
-		return fmt.Sprintf("Refresh(%d)", int(r))
-	}
-}
-
-// defaultRefreshBudget is the RefreshAuto threshold on the accumulated
-// relative discarded singular mass: 1% of the spectrum's Frobenius norm
-// keeps reconstruction drift well under typical evaluation tolerances
-// while letting many small batches through between refreshes.
+// defaultRefreshBudget is the Options.RefreshBudget default threshold
+// on the accumulated relative discarded singular mass: 1% of the
+// spectrum's Frobenius norm keeps reconstruction drift well under
+// typical evaluation tolerances while letting many small batches
+// through between refreshes.
 const defaultRefreshBudget = 0.01
 
 // defaultOrthoBudget is the Options.OrthoBudget default: factor states
@@ -140,7 +108,7 @@ type updState struct {
 	// Endpoint factor states: mid for ISVD0, lo/hi for ISVD1-4.
 	lo, hi, mid *eig.SVDResult
 	// resAcc is the accumulated relative discarded singular mass since
-	// the last refresh (the RefreshAuto budget variable).
+	// the last refresh (what Options.RefreshBudget bounds).
 	resAcc float64
 
 	// Health counters (see Decomposition.Health). These are advisory
@@ -252,28 +220,19 @@ func sanitizeState(f *eig.SVDResult) *eig.SVDResult {
 // already documented as a fully independent copy.
 func cloneSVD(f *eig.SVDResult) *eig.SVDResult { return f.Truncate(len(f.S)) }
 
-// UpdateSparse folds a batch delta into an updatable decomposition and
-// returns the refreshed decomposition; it is Decomposition.Update as a
-// free function, mirroring DecomposeSparse.
-//
-//ivmf:deterministic
-func UpdateSparse(d *Decomposition, delta Delta, opts Options) (*Decomposition, error) {
-	return d.Update(delta, opts)
-}
-
 // Update folds a batch delta into this updatable decomposition: the
 // sparse matrix copy absorbs the delta, the endpoint factor states take
 // a Brand-style low-rank update (or a warm-started truncated re-solve,
-// per opts.Refresh and the accumulated residual budget), and the
+// once the accumulated residual exceeds opts.RefreshBudget), and the
 // method's align/solve/construct stages re-run from the factors. The
 // receiver is not modified — it keeps serving — and the returned
 // decomposition carries the advanced state for the next batch.
 //
-// opts controls the update step only: Refresh and RefreshBudget select
-// the refresh policy, Workers bounds this update's fan-outs (zero
-// falls back to the decompose-time setting). The structural options —
-// Rank, Target, Assign, Solver, thresholds — are fixed at decompose
-// time and ignored here.
+// opts controls the update step only: RefreshBudget and OrthoBudget
+// set the escalation thresholds, Workers bounds this update's fan-outs
+// (zero falls back to the decompose-time setting). The structural
+// options — Rank, Target, Assign, Solver, thresholds — are fixed at
+// decompose time and ignored here.
 //
 //ivmf:deterministic
 func (d *Decomposition) Update(delta Delta, opts Options) (*Decomposition, error) {
@@ -467,8 +426,9 @@ func (d *Decomposition) Update(delta Delta, opts Options) (*Decomposition, error
 	// the matrix only and the update escalates straight to a full
 	// windowed redecompose from the final matrix. This is the
 	// "route through the refresh machinery instead of returning
-	// garbage" guarantee, and it holds even under RefreshNever — the
-	// policy disables budget-driven refreshes, not the guardrails.
+	// garbage" guarantee, and it holds even under an infinite
+	// RefreshBudget — that disables budget-driven refreshes, not the
+	// guardrails.
 	dead := false
 	deadReason := ""
 	downdate := func(what string, apply func() error) error {
@@ -568,8 +528,9 @@ func (d *Decomposition) Update(delta Delta, opts Options) (*Decomposition, error
 
 	// Escalation ladder: additive (level 0) → warm-started truncated
 	// refresh (level 1) → full windowed redecompose (level 2). The
-	// triggers are monotone in severity — the budget policy requests
-	// level 1; hard numerical damage (ill-conditioned downdate,
+	// triggers are monotone in severity — a spent refresh budget
+	// requests level 1 (every update, when the budget is negative, since
+	// resAcc >= 0); hard numerical damage (ill-conditioned downdate,
 	// orthogonality drift past OrthoBudget, an unhealthy warm result)
 	// requests level 2 — and deterministic: they read only resAcc, the
 	// factor states, the delta, and the per-call options, all of which
@@ -581,9 +542,6 @@ func (d *Decomposition) Update(delta Delta, opts Options) (*Decomposition, error
 		level, reason = 2, deadReason
 	case drift > orthoBudget:
 		level, reason = 2, fmt.Sprintf("orthogonality drift %.3g exceeds budget %.3g", drift, orthoBudget)
-	case opts.Refresh == RefreshAlways:
-		level, reason = 1, "refresh-always policy"
-	case opts.Refresh == RefreshNever:
 	case resAcc > budget:
 		level, reason = 1, fmt.Sprintf("accumulated discarded mass %.3g exceeds budget %.3g", resAcc, budget)
 	}

@@ -116,7 +116,7 @@ func TestUpdateMatchesFullRecomputeAllMethods(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				d2, err := d.Update(delta, Options{Refresh: RefreshNever})
+				d2, err := d.Update(delta, Options{RefreshBudget: math.Inf(1)})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -182,7 +182,7 @@ func TestUpdateDense(t *testing.T) {
 		{Row: 3, Col: 5, Lo: old0.Lo + 0.5, Hi: old0.Hi + 0.75},
 		{Row: 3, Col: 11, Lo: old1.Lo - 0.25, Hi: old1.Hi - 0.375},
 	}}
-	d2, err := UpdateSparse(d, delta, Options{Refresh: RefreshNever})
+	d2, err := d.Update(delta, Options{RefreshBudget: math.Inf(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestUpdateDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d2, err := d.Update(Delta{AppendRows: b, Patch: patch}, Options{Refresh: RefreshNever})
+		d2, err := d.Update(Delta{AppendRows: b, Patch: patch}, Options{RefreshBudget: math.Inf(1)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,9 +238,9 @@ func TestUpdateDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestRefreshPolicies pins the residual-budget machinery: RefreshNever
-// accumulates discarded mass on full-spectrum data, RefreshAlways (and a
-// tripped RefreshAuto budget) resets it via the warm re-solve, and the
+// TestRefreshPolicies pins the residual-budget machinery: an infinite
+// budget accumulates discarded mass on full-spectrum data, a negative
+// one (and any tripped finite budget) resets it via the warm re-solve, and the
 // refreshed decomposition agrees with a full recompute even where the
 // additive path alone has drifted.
 func TestRefreshPolicies(t *testing.T) {
@@ -260,20 +260,20 @@ func TestRefreshPolicies(t *testing.T) {
 	}
 	patch, after := streamPatch(sp, 4, rand.New(rand.NewSource(68)))
 
-	never, err := d.Update(Delta{Patch: patch}, Options{Refresh: RefreshNever})
+	never, err := d.Update(Delta{Patch: patch}, Options{RefreshBudget: math.Inf(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if never.UpdateResidual() <= 0 {
-		t.Fatalf("RefreshNever residual %g, want > 0 on full-spectrum data", never.UpdateResidual())
+		t.Fatalf("infinite-budget residual %g, want > 0 on full-spectrum data", never.UpdateResidual())
 	}
 
-	always, err := d.Update(Delta{Patch: patch}, Options{Refresh: RefreshAlways})
+	always, err := d.Update(Delta{Patch: patch}, Options{RefreshBudget: math.Inf(-1)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if always.UpdateResidual() != 0 {
-		t.Fatalf("RefreshAlways residual %g, want 0", always.UpdateResidual())
+		t.Fatalf("negative-budget residual %g, want 0", always.UpdateResidual())
 	}
 	ref, err := DecomposeSparse(after, ISVD1, opts)
 	if err != nil {
@@ -281,14 +281,13 @@ func TestRefreshPolicies(t *testing.T) {
 	}
 	checkDecompAgreement(t, always, ref, 1e-6)
 
-	// Auto with a tiny budget must trip and reset; with a huge budget it
-	// must not.
+	// A tiny finite budget must trip and reset; a huge one must not.
 	auto, err := d.Update(Delta{Patch: patch}, Options{RefreshBudget: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if auto.UpdateResidual() != 0 {
-		t.Fatalf("tripped RefreshAuto residual %g, want 0", auto.UpdateResidual())
+		t.Fatalf("tripped budget residual %g, want 0", auto.UpdateResidual())
 	}
 	checkDecompAgreement(t, auto, ref, 1e-6)
 	lax, err := d.Update(Delta{Patch: patch}, Options{RefreshBudget: 1e6})
@@ -296,7 +295,7 @@ func TestRefreshPolicies(t *testing.T) {
 		t.Fatal(err)
 	}
 	if lax.UpdateResidual() <= 0 {
-		t.Fatalf("lax RefreshAuto residual %g, want > 0", lax.UpdateResidual())
+		t.Fatalf("lax budget residual %g, want > 0", lax.UpdateResidual())
 	}
 }
 
@@ -385,7 +384,7 @@ func TestUpdateChainWithGrowth(t *testing.T) {
 		} else {
 			delta.Patch, cur = streamPatch(cur, 2, srng)
 		}
-		d, err = d.Update(delta, Options{Refresh: RefreshNever})
+		d, err = d.Update(delta, Options{RefreshBudget: math.Inf(1)})
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
@@ -408,7 +407,7 @@ func TestUpdateWorkersOverrideNotSticky(t *testing.T) {
 		t.Fatal(err)
 	}
 	patch, _ := streamPatch(sp, 1, rng)
-	d2, err := d.Update(Delta{Patch: patch}, Options{Workers: 1, Refresh: RefreshNever})
+	d2, err := d.Update(Delta{Patch: patch}, Options{Workers: 1, RefreshBudget: math.Inf(1)})
 	if err != nil {
 		t.Fatal(err)
 	}

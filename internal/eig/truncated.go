@@ -282,7 +282,7 @@ func TruncatedSymEig(op SymOp, rank int) (vals []float64, vecs *matrix.Dense, er
 // operator) the iteration begins inside — or near — the invariant
 // subspace it is chasing and typically converges in one or two sweeps,
 // which is the refresh path of the incremental-update engine
-// (internal/update, core.UpdateSparse).
+// (internal/update, core.Decomposition.Update).
 func TruncatedSymEigOpts(op SymOp, rank int, o Options) (vals []float64, vecs *matrix.Dense, err error) {
 	n := op.Dim()
 	if rank <= 0 || rank > n {

@@ -229,7 +229,7 @@ func TestConfigDefaults(t *testing.T) {
 
 func TestStreamScenario(t *testing.T) {
 	// A tiny run: the scenario must produce per-batch speedups, a
-	// near-zero RefreshAuto gap (warm refresh resets drift), and an
+	// near-zero default-budget gap (warm refresh resets drift), and an
 	// additive-path gap that the residual column accounts for.
 	cfg := Config{Seed: 1, Trials: 1, Scale: 0.1}
 	res, err := Run("stream", cfg)
@@ -240,7 +240,7 @@ func TestStreamScenario(t *testing.T) {
 		t.Errorf("additive update not faster than full recompute: mean speedup %.2f", res.Values["speedup_mean"])
 	}
 	if res.Values["recon_gap_auto"] > 1e-6 {
-		t.Errorf("RefreshAuto gap %g, want <= 1e-6 (warm refresh must track the recompute)", res.Values["recon_gap_auto"])
+		t.Errorf("default-budget gap %g, want <= 1e-6 (warm refresh must track the recompute)", res.Values["recon_gap_auto"])
 	}
 	if !strings.Contains(res.Text, "speedup") {
 		t.Error("missing speedup column")
@@ -262,7 +262,7 @@ func TestWindowScenario(t *testing.T) {
 		t.Errorf("window update not faster than windowed recompute: mean speedup %.2f", res.Values["speedup_mean"])
 	}
 	if res.Values["recon_gap_auto"] > 1e-6 {
-		t.Errorf("RefreshAuto gap %g, want <= 1e-6", res.Values["recon_gap_auto"])
+		t.Errorf("default-budget gap %g, want <= 1e-6", res.Values["recon_gap_auto"])
 	}
 	if res.Values["recon_gap_forget"] > 1e-6 {
 		t.Errorf("forgetting-chain gap %g, want <= 1e-6 vs the decayed window", res.Values["recon_gap_forget"])

@@ -8,9 +8,10 @@
 // The replay follows the service's recipe: a decompose job builds one
 // updatable decomposition with the envelope's method, rank, target and
 // solver, and each update job applies its delta text (sorted by
-// dataset.ParseDeltaCOO) with its forgetting factor, refresh policy and
-// budgets as one functional Update. Workers is ignored: results are
-// bitwise equal for any worker count.
+// dataset.ParseDeltaCOO) with its forgetting factor and budgets (the
+// refresh policy name folded in by core.WireRefreshBudget) as one
+// functional Update. Workers is ignored: results are bitwise equal for
+// any worker count.
 package oracle
 
 import (
@@ -115,12 +116,11 @@ func update(d *core.Decomposition, j Job) (*core.Decomposition, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := core.Options{RefreshBudget: j.RefreshBudget, OrthoBudget: j.OrthoBudget}
-	if j.Refresh != "" {
-		if opts.Refresh, err = core.ParseRefresh(j.Refresh); err != nil {
-			return nil, err
-		}
+	budget, err := core.WireRefreshBudget(j.Refresh, j.RefreshBudget)
+	if err != nil {
+		return nil, err
 	}
+	opts := core.Options{RefreshBudget: budget, OrthoBudget: j.OrthoBudget}
 	return d.Update(core.Delta{Forget: j.Forget, Patch: batch.Patch, Unpatch: batch.Tombstones}, opts)
 }
 

@@ -244,7 +244,7 @@ func (p *Predictor) Decomposition() *core.Decomposition {
 // predictor re-derives its lazy factor source from the result. Requires
 // a factor-backed ISVD predictor built from an updatable decomposition
 // (BuildSparseISVD with Options.Updatable). opts carries the update
-// policy knobs (Refresh, RefreshBudget, Workers).
+// knobs (RefreshBudget, OrthoBudget, Workers).
 //
 // On error the predictor is left unchanged; on success prediction shape
 // may grow (appended rows/cols become predictable immediately).

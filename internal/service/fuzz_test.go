@@ -8,6 +8,7 @@ package service
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -89,8 +90,10 @@ func FuzzServiceRequest(f *testing.F) {
 		default:
 			t.Fatalf("accepted unknown kind %v", jr.kind)
 		}
-		if jr.workers < 0 || jr.refreshBudget < 0 {
-			t.Fatalf("accepted negative knobs: workers=%d refreshBudget=%g", jr.workers, jr.refreshBudget)
+		// The wire budget is finite and non-negative; only refresh
+		// "always" resolves it to -Inf, and "never" to +Inf.
+		if jr.workers < 0 || math.IsNaN(jr.refreshBudget) || jr.refreshBudget < 0 && !math.IsInf(jr.refreshBudget, -1) {
+			t.Fatalf("accepted bad knobs: workers=%d refreshBudget=%g", jr.workers, jr.refreshBudget)
 		}
 	})
 }

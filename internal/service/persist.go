@@ -16,8 +16,8 @@ import (
 // appends one fsynced record to the tenant's write-ahead log — and Open
 // recovers all tenants from disk before the server starts admitting.
 // The persisted chain replays bitwise-identically (core.Update is a
-// pure function of persisted state, delta, and the refresh policy the
-// record carries; kernel results are worker-count invariant), so a
+// pure function of persisted state, delta, and the budgets the record
+// carries; kernel results are worker-count invariant), so a
 // rebooted server serves exactly the predictions the crashed one
 // acknowledged.
 

@@ -42,10 +42,11 @@ type Request struct {
 	Max    float64 `json:"max,omitempty"`
 
 	// Per-request execution knobs, valid for both kinds. Workers bounds
-	// the job's pool fan-outs (0 = server default); Refresh/
-	// RefreshBudget select the incremental refresh policy for updates;
-	// OrthoBudget sets the orthogonality-drift guardrail (0 = engine
-	// default).
+	// the job's pool fan-outs (0 = server default); Refresh ("auto",
+	// "never" or "always") and a finite, non-negative RefreshBudget set
+	// the update's refresh budget (never and always override the budget
+	// with ±Inf; see core.WireRefreshBudget); OrthoBudget sets the
+	// orthogonality-drift guardrail (0 = engine default).
 	Workers       int     `json:"workers,omitempty"`
 	Refresh       string  `json:"refresh,omitempty"`
 	RefreshBudget float64 `json:"refreshBudget,omitempty"`
@@ -89,8 +90,8 @@ type jobRequest struct {
 	unpatch              []sparse.Cell
 	patchRows, patchCols int
 
-	// Shared update policy.
-	refresh       core.Refresh
+	// Shared update policy; refreshBudget is the effective budget, the
+	// wire's policy name folded in (core.WireRefreshBudget).
 	refreshBudget float64
 	orthoBudget   float64
 	forget        float64
@@ -186,10 +187,11 @@ func validateRequest(req *Request) (*jobRequest, error) {
 	if req.Workers < 0 {
 		return nil, fmt.Errorf("service: negative workers %d", req.Workers)
 	}
-	if req.RefreshBudget < 0 || math.IsNaN(req.RefreshBudget) || math.IsInf(req.RefreshBudget, 0) {
-		return nil, fmt.Errorf("service: bad refreshBudget %g", req.RefreshBudget)
+	budget, err := core.WireRefreshBudget(req.Refresh, req.RefreshBudget)
+	if err != nil {
+		return nil, fmt.Errorf("service: %w", err)
 	}
-	jr.refreshBudget = req.RefreshBudget
+	jr.refreshBudget = budget
 	if req.OrthoBudget < 0 || math.IsNaN(req.OrthoBudget) || math.IsInf(req.OrthoBudget, 0) {
 		return nil, fmt.Errorf("service: bad orthoBudget %g", req.OrthoBudget)
 	}
@@ -198,13 +200,6 @@ func validateRequest(req *Request) (*jobRequest, error) {
 		return nil, fmt.Errorf("service: bad forget %g (want 0 < λ <= 1)", req.Forget)
 	}
 	jr.forget = req.Forget
-	if req.Refresh != "" {
-		r, err := core.ParseRefresh(req.Refresh)
-		if err != nil {
-			return nil, fmt.Errorf("service: %w", err)
-		}
-		jr.refresh = r
-	}
 
 	switch req.Kind {
 	case "decompose":

@@ -37,8 +37,8 @@ func TestDecodeRequestValid(t *testing.T) {
 	if jr.patchRows != 4 || jr.patchCols != 3 {
 		t.Errorf("delta header = %dx%d, want 4x3", jr.patchRows, jr.patchCols)
 	}
-	if jr.refresh != core.RefreshAlways || jr.workers != 2 {
-		t.Errorf("knobs: refresh=%v workers=%d", jr.refresh, jr.workers)
+	if !math.IsInf(jr.refreshBudget, -1) || jr.workers != 2 {
+		t.Errorf("knobs: refreshBudget=%v workers=%d", jr.refreshBudget, jr.workers)
 	}
 	p := jr.patch[0]
 	if p.Row != 0 || p.Col != 1 || p.Lo != 4 || p.Hi != 4 {

@@ -813,7 +813,6 @@ func (s *Service) runUnit(unit sched.Unit, reqs []*jobRequest, meta *tenantMeta,
 			}
 		}
 		opts := core.Options{
-			Refresh:       last.refresh,
 			RefreshBudget: last.refreshBudget,
 			OrthoBudget:   last.orthoBudget,
 			Workers:       last.workers,
@@ -860,10 +859,10 @@ func (s *Service) runUnit(unit sched.Unit, reqs []*jobRequest, meta *tenantMeta,
 			escalated := health.Refreshes > prevHealth.Refreshes || health.Redecomposes > prevHealth.Redecomposes
 			err := s.persistUpdate(unit.Tenant, meta, next, escalated, &store.WALRecord{
 				Seq: next.Version, JobID: next.JobID,
-				Refresh: opts.Refresh, RefreshBudget: opts.RefreshBudget,
-				OrthoBudget: opts.OrthoBudget,
-				Acked:       acked,
-				Delta:       delta,
+				RefreshBudget: opts.RefreshBudget,
+				OrthoBudget:   opts.OrthoBudget,
+				Acked:         acked,
+				Delta:         delta,
 			})
 			if err != nil {
 				return 0, err

@@ -89,11 +89,11 @@ func (a *ICSR) Scale(c float64) (*ICSR, error) {
 	return &ICSR{Rows: a.Rows, Cols: a.Cols, RowPtr: a.RowPtr, ColInd: a.ColInd, Lo: lo, Hi: hi}, nil
 }
 
-// checkRemovalIndices validates a removal index set against a dimension
-// and returns it sorted ascending. The set must be non-empty, in range,
+// CheckRemovalIndices validates a removal index set against a dimension
+// and returns it sorted ascending (a fresh copy; idx is not modified). The set must be non-empty, in range,
 // duplicate-free, and strictly smaller than the dimension (removing
 // every row or column leaves no matrix).
-func checkRemovalIndices(op string, idx []int, dim int) ([]int, error) {
+func CheckRemovalIndices(op string, idx []int, dim int) ([]int, error) {
 	if len(idx) == 0 {
 		return nil, fmt.Errorf("sparse: %s: empty index set", op)
 	}
@@ -119,7 +119,7 @@ func checkRemovalIndices(op string, idx []int, dim int) ([]int, error) {
 // number of removed rows before it). Indices may arrive in any order;
 // duplicates, out-of-range indices, and removing every row are errors.
 func (a *ICSR) RemoveRows(idx []int) (*ICSR, error) {
-	sorted, err := checkRemovalIndices("RemoveRows", idx, a.Rows)
+	sorted, err := CheckRemovalIndices("RemoveRows", idx, a.Rows)
 	if err != nil {
 		return nil, err
 	}
@@ -151,7 +151,7 @@ func (a *ICSR) RemoveRows(idx []int) (*ICSR, error) {
 // surviving columns keep their relative order and shift left past the
 // removed ones. Same index validation as RemoveRows.
 func (a *ICSR) RemoveCols(idx []int) (*ICSR, error) {
-	sorted, err := checkRemovalIndices("RemoveCols", idx, a.Cols)
+	sorted, err := CheckRemovalIndices("RemoveCols", idx, a.Cols)
 	if err != nil {
 		return nil, err
 	}

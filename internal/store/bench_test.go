@@ -81,14 +81,14 @@ func benchStore(b *testing.B, dir string, m *sparse.ICSR, deltas int) *core.Deco
 	cur := m
 	for i := 0; i < deltas; i++ {
 		rec := &WALRecord{Seq: uint64(i) + 2, JobID: uint64(i) + 2,
-			Refresh: core.RefreshNever, Delta: core.Delta{Patch: testPatch(cur, i+1)}}
+			RefreshBudget: math.Inf(1), Delta: core.Delta{Patch: testPatch(cur, i+1)}}
 		if _, err := s.AppendDelta("bench", rec); err != nil {
 			b.Fatal(err)
 		}
 		if cur, err = cur.ApplyPatch(rec.Delta.Patch); err != nil {
 			b.Fatal(err)
 		}
-		if d, err = d.Update(rec.Delta, core.Options{Refresh: core.RefreshNever}); err != nil {
+		if d, err = d.Update(rec.Delta, core.Options{RefreshBudget: math.Inf(1)}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,6 +9,8 @@ package store
 // next (core.ImportState, ICSR.CheckStructure).
 
 import (
+	"encoding/hex"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -78,6 +80,12 @@ func FuzzWALDecode(f *testing.F) {
 		f.Add(payload)
 		f.Add(payload[:len(payload)/2])
 	}
+	// A record whose reserved slot carries the retired policy code 1.
+	legacy, err := hex.DecodeString(legacyPolicyRecords[0])
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(legacy)
 	f.Add([]byte{})
 	f.Add(make([]byte, 29))
 	_ = ps
@@ -104,6 +112,9 @@ func FuzzWALDecode(f *testing.F) {
 		}
 		if d.Forget != 0 && !(d.Forget > 0 && d.Forget <= 1) {
 			t.Fatalf("accepted forgetting factor %v", d.Forget)
+		}
+		if math.IsNaN(rec.RefreshBudget) {
+			t.Fatal("accepted NaN refresh budget")
 		}
 	})
 }

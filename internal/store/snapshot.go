@@ -96,7 +96,6 @@ type snapHeader struct {
 	pinvCut  float64
 	workers  uint32
 	solver   uint32
-	refresh  uint32
 	refBudg  float64
 	exactAlg byte
 	seq      uint64
@@ -219,7 +218,6 @@ func DecodeSnapshot(data []byte) (*SnapshotPayload, error) {
 			Workers:       int(h.workers),
 			Solver:        eig.Solver(h.solver),
 			Updatable:     true,
-			Refresh:       core.Refresh(h.refresh),
 			RefreshBudget: h.refBudg,
 			ExactAlgebra:  h.exactAlg != 0,
 		},
@@ -285,7 +283,6 @@ func headerFor(ps *core.PersistentState, meta SnapshotMeta) (*snapHeader, error)
 		pinvCut: ps.Opts.PinvCutoff,
 		workers: uint32(ps.Opts.Workers),
 		solver:  uint32(ps.Opts.Solver),
-		refresh: uint32(ps.Opts.Refresh),
 		refBudg: ps.Opts.RefreshBudget,
 		seq:     meta.Seq,
 		jobID:   meta.JobID,
@@ -346,7 +343,7 @@ func (h *snapHeader) encode() []byte {
 	f64(h.pinvCut)
 	u32(h.workers)
 	u32(h.solver)
-	u32(h.refresh)
+	u32(0) // reserved (a refresh-policy code in older files)
 	f64(h.refBudg)
 	b = append(b, h.exactAlg)
 	u64(h.seq)
@@ -392,7 +389,7 @@ func decodeHeader(b []byte) (*snapHeader, error) {
 	h.pinvCut = f64()
 	h.workers = u32()
 	h.solver = u32()
-	h.refresh = u32()
+	u32() // reserved slot, ignored (a refresh-policy code in older files)
 	h.refBudg = f64()
 	h.exactAlg = u8()
 	h.seq = u64()

@@ -294,7 +294,6 @@ func (s *Store) replayWAL(tenant string, gen uint64, rec *Recovered, opts core.O
 		}
 		var d2 *core.Decomposition
 		if err == nil {
-			opts.Refresh = wr.Refresh
 			opts.RefreshBudget = wr.RefreshBudget
 			opts.OrthoBudget = wr.OrthoBudget
 			d2, err = rec.Decomp.Update(wr.Delta, opts)

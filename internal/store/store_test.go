@@ -167,7 +167,7 @@ func TestWALRecordRoundTrip(t *testing.T) {
 			Unpatch: []sparse.Cell{{Row: 1, Col: 1}}, RemoveRows: []int{7}, RemoveCols: []int{2}},
 	}
 	for i, delta := range cases {
-		rec := &WALRecord{Seq: uint64(i) + 2, JobID: 99, Refresh: core.RefreshNever,
+		rec := &WALRecord{Seq: uint64(i) + 2, JobID: 99,
 			RefreshBudget: 0.25, OrthoBudget: 1e-7, Delta: delta}
 		payload, err := EncodeWALRecord(rec)
 		if err != nil {
@@ -177,7 +177,7 @@ func TestWALRecordRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		if got.Seq != rec.Seq || got.JobID != 99 || got.Refresh != core.RefreshNever ||
+		if got.Seq != rec.Seq || got.JobID != 99 ||
 			got.RefreshBudget != 0.25 || got.OrthoBudget != 1e-7 {
 			t.Fatalf("case %d: meta %+v", i, got)
 		}
@@ -216,6 +216,31 @@ func TestWALRecordRoundTrip(t *testing.T) {
 		Delta: core.Delta{Patch: testPatch(rows, 1)}}); err == nil {
 		t.Error("negative ortho budget encoded")
 	}
+	if _, err := EncodeWALRecord(&WALRecord{Seq: 1, RefreshBudget: math.NaN(),
+		Delta: core.Delta{Patch: testPatch(rows, 1)}}); err == nil {
+		t.Error("NaN refresh budget encoded")
+	}
+	for _, budget := range []float64{math.Inf(1), math.Inf(-1)} {
+		payload, err := EncodeWALRecord(&WALRecord{Seq: 1, RefreshBudget: budget,
+			Delta: core.Delta{Patch: testPatch(rows, 1)}})
+		if err != nil {
+			t.Fatalf("refresh budget %v: %v", budget, err)
+		}
+		if got, err := DecodeWALRecord(payload); err != nil || got.RefreshBudget != budget {
+			t.Fatalf("refresh budget %v decoded as %+v, %v", budget, got, err)
+		}
+		// The budget follows seq, jobID and the reserved u32 slot.
+		nan := append([]byte(nil), payload...)
+		binary.LittleEndian.PutUint64(nan[20:], math.Float64bits(math.NaN()))
+		if _, err := DecodeWALRecord(nan); err == nil {
+			t.Error("NaN refresh budget decoded")
+		}
+		code3 := append([]byte(nil), payload...)
+		binary.LittleEndian.PutUint32(code3[16:], 3)
+		if _, err := DecodeWALRecord(code3); err == nil {
+			t.Error("reserved slot code 3 decoded")
+		}
+	}
 }
 
 // chain precomputes an update chain: states[0] is the base
@@ -242,7 +267,7 @@ func makeChain(t testing.TB, method core.Method, deltas int) *chain {
 		if err != nil {
 			t.Fatal(err)
 		}
-		next, err := d.Update(rec.Delta, core.Options{Refresh: rec.Refresh, RefreshBudget: rec.RefreshBudget})
+		next, err := d.Update(rec.Delta, core.Options{RefreshBudget: rec.RefreshBudget})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,8 +24,11 @@ import (
 // replay it bitwise-identically:
 //
 //	u64 seq, u64 jobID
-//	u32 refresh policy, f64 refresh budget   (the Update options that
-//	                                          change results)
+//	u32 reserved, written 0                  (once a refresh-policy
+//	                                          code; see DecodeWALRecord)
+//	f64 refresh budget                       (the Update option that
+//	                                          changes results; ±Inf
+//	                                          allowed, NaN rejected)
 //	f64 ortho budget, f64 forget λ           (the health guardrail
 //	                                          option and the delta's
 //	                                          forgetting factor, 0 =
@@ -86,9 +89,10 @@ func checkIdemKey(key string) error {
 
 // WALRecord is one replayable update.
 type WALRecord struct {
-	Seq           uint64
-	JobID         uint64
-	Refresh       core.Refresh
+	Seq   uint64
+	JobID uint64
+	// RefreshBudget is the refresh budget the update ran under
+	// (core.Options.RefreshBudget, ±Inf included).
 	RefreshBudget float64
 	// OrthoBudget is the orthogonality-drift guardrail the update ran
 	// under (core.Options.OrthoBudget; 0 = the engine default). Carried
@@ -114,10 +118,13 @@ func EncodeWALRecord(rec *WALRecord) ([]byte, error) {
 	if rec.OrthoBudget < 0 || math.IsNaN(rec.OrthoBudget) || math.IsInf(rec.OrthoBudget, 0) {
 		return nil, fmt.Errorf("store: wal: ortho budget %v invalid", rec.OrthoBudget)
 	}
+	if math.IsNaN(rec.RefreshBudget) {
+		return nil, fmt.Errorf("store: wal: refresh budget %v invalid", rec.RefreshBudget)
+	}
 	b := make([]byte, 0, 64)
 	b = binary.LittleEndian.AppendUint64(b, rec.Seq)
 	b = binary.LittleEndian.AppendUint64(b, rec.JobID)
-	b = binary.LittleEndian.AppendUint32(b, uint32(rec.Refresh))
+	b = binary.LittleEndian.AppendUint32(b, 0) // reserved
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(rec.RefreshBudget))
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(rec.OrthoBudget))
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(rec.Delta.Forget))
@@ -193,6 +200,10 @@ func EncodeWALRecord(rec *WALRecord) ([]byte, error) {
 
 // DecodeWALRecord parses one record payload. Like the snapshot decoder
 // it never panics and bounds every allocation by the payload length.
+// Records from before the refresh budget was the only refresh setting
+// carry a policy code in the reserved slot: 1 (never) reads as an
+// infinite budget and 2 (always) as a negative-infinite one, exactly
+// the budgets those policies equal; any larger code is an error.
 //
 //ivmf:deterministic
 func DecodeWALRecord(b []byte) (*WALRecord, error) {
@@ -200,11 +211,23 @@ func DecodeWALRecord(b []byte) (*WALRecord, error) {
 	rec := &WALRecord{}
 	rec.Seq = r.u64("seq")
 	rec.JobID = r.u64("jobID")
-	rec.Refresh = core.Refresh(r.u32("refresh"))
+	legacy := r.u32("reserved")
 	rec.RefreshBudget = math.Float64frombits(r.u64("refreshBudget"))
 	rec.OrthoBudget = math.Float64frombits(r.u64("orthoBudget"))
 	rec.Delta.Forget = math.Float64frombits(r.u64("forget"))
 	if r.err == nil {
+		switch legacy {
+		case 0:
+		case 1:
+			rec.RefreshBudget = math.Inf(1)
+		case 2:
+			rec.RefreshBudget = math.Inf(-1)
+		default:
+			return nil, fmt.Errorf("store: wal: reserved field %d invalid at offset 16", legacy)
+		}
+		if math.IsNaN(rec.RefreshBudget) {
+			return nil, fmt.Errorf("store: wal: refresh budget %v invalid", rec.RefreshBudget)
+		}
 		if rec.OrthoBudget < 0 || math.IsNaN(rec.OrthoBudget) || math.IsInf(rec.OrthoBudget, 0) {
 			return nil, fmt.Errorf("store: wal: ortho budget %v invalid", rec.OrthoBudget)
 		}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/eig"
 	"repro/internal/matrix"
@@ -82,7 +81,7 @@ func (e *IllConditionedError) Unwrap() error { return ErrIllConditioned }
 // tolerances.
 func RemoveRows(f *eig.SVDResult, rows []int, rank int) (*eig.SVDResult, float64, error) {
 	m, n, r := f.U.Rows, f.V.Rows, len(f.S)
-	sorted, err := checkRemoval("RemoveRows", rows, m)
+	sorted, err := sparse.CheckRemovalIndices("RemoveRows", rows, m)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -271,30 +270,6 @@ func OrthoResidual(q *matrix.Dense, s []float64) float64 {
 		}
 	}
 	return worst
-}
-
-// checkRemoval validates a removal index set against dimension dim and
-// returns it sorted ascending: non-empty, in range, duplicate-free, and
-// strictly smaller than dim (removing everything leaves no matrix).
-func checkRemoval(op string, idx []int, dim int) ([]int, error) {
-	if len(idx) == 0 {
-		return nil, fmt.Errorf("update: %s: empty index set", op)
-	}
-	if len(idx) >= dim {
-		return nil, fmt.Errorf("update: %s: removing %d of %d", op, len(idx), dim)
-	}
-	sorted := make([]int, len(idx))
-	copy(sorted, idx)
-	sort.Ints(sorted)
-	for k, i := range sorted {
-		if i < 0 || i >= dim {
-			return nil, fmt.Errorf("update: %s: index %d outside [0, %d)", op, i, dim)
-		}
-		if k > 0 && i == sorted[k-1] {
-			return nil, fmt.Errorf("update: %s: duplicate index %d", op, i)
-		}
-	}
-	return sorted, nil
 }
 
 // sigmaMinNonzero returns the smallest non-zero singular value, or 0 if

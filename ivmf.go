@@ -171,20 +171,6 @@ type Tombstone = sparse.Cell
 // far.
 type Health = core.Health
 
-// Refresh selects the incremental-update refresh policy
-// (Options.Refresh): RefreshAuto (the zero value) re-solves with a
-// warm-started truncated decomposition when the accumulated discarded
-// singular mass trips Options.RefreshBudget; RefreshNever and
-// RefreshAlways force a policy.
-type Refresh = core.Refresh
-
-// Refresh policies for Options.Refresh.
-const (
-	RefreshAuto   = core.RefreshAuto   // budgeted warm refreshes (default)
-	RefreshNever  = core.RefreshNever  // additive updates only
-	RefreshAlways = core.RefreshAlways // warm re-solve on every batch
-)
-
 // Update folds a batch delta into a decomposition produced with
 // Options.Updatable and returns the refreshed decomposition: the
 // endpoint factor states absorb the batch through a deterministic
@@ -193,11 +179,13 @@ const (
 // align/solve/construct stages re-run from the factors. The input
 // decomposition keeps serving unchanged. Updated results agree with a
 // full recompute to 1e-6 for exact-rank deltas and are bitwise identical
-// for any worker count; accumulated truncation error is tracked against
-// opts.RefreshBudget and repaired by warm-started re-solves per
-// opts.Refresh.
+// for any worker count. Accumulated truncation error is tracked against
+// opts.RefreshBudget and repaired by a warm-started re-solve once it
+// exceeds the budget: 0 means the 1% default, math.Inf(1) never
+// re-solves, and a negative budget (canonically math.Inf(-1)) re-solves
+// on every batch.
 func Update(d *Decomposition, delta Delta, opts Options) (*Decomposition, error) {
-	return core.UpdateSparse(d, delta, opts)
+	return d.Update(delta, opts)
 }
 
 // Accuracy scores a reconstruction against the original interval matrix.
@@ -281,9 +269,6 @@ func ParseMethod(s string) (Method, error) { return core.ParseMethod(s) }
 
 // ParseTarget parses "a", "b", or "c" (any case).
 func ParseTarget(s string) (Target, error) { return core.ParseTarget(s) }
-
-// ParseRefresh parses "auto", "never", or "always" (any case).
-func ParseRefresh(s string) (Refresh, error) { return core.ParseRefresh(s) }
 
 // ValidateInput checks that an interval matrix has finite, well-ordered
 // endpoints (the precondition of Decompose).

@@ -193,16 +193,10 @@ func TestPublicAPIParsers(t *testing.T) {
 	if tg, err := ivmf.ParseTarget("B"); err != nil || tg != ivmf.TargetB {
 		t.Errorf("ParseTarget(B) = %v, %v", tg, err)
 	}
-	if r, err := ivmf.ParseRefresh("always"); err != nil || r != ivmf.RefreshAlways {
-		t.Errorf("ParseRefresh(always) = %v, %v", r, err)
-	}
 	if _, err := ivmf.ParseMethod("ISVD9"); err == nil {
 		t.Error("ParseMethod accepted ISVD9")
 	}
 	if _, err := ivmf.ParseTarget("z"); err == nil {
 		t.Error("ParseTarget accepted z")
-	}
-	if _, err := ivmf.ParseRefresh("maybe"); err == nil {
-		t.Error("ParseRefresh accepted maybe")
 	}
 }

@@ -116,7 +116,7 @@ func BenchmarkUpdateAdditive(b *testing.B) {
 			b.Run(fmt.Sprintf("n=%d/r=20/batch=%g%%", n, frac*100), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := d.Update(delta, core.Options{Refresh: core.RefreshNever}); err != nil {
+					if _, err := d.Update(delta, core.Options{RefreshBudget: math.Inf(1)}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -139,7 +139,7 @@ func BenchmarkUpdateWarmRefresh(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d/r=20/batch=1%%", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := d.Update(delta, core.Options{Refresh: core.RefreshAlways}); err != nil {
+				if _, err := d.Update(delta, core.Options{RefreshBudget: math.Inf(-1)}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -158,7 +158,7 @@ func BenchmarkWarmStartTruncatedSVD(b *testing.B) {
 			b.Fatal(err)
 		}
 		// Drift: scale one small row batch, ~0.1% of NNZ — the
-		// accumulated-drift scale at which RefreshAuto re-solves.
+		// accumulated-drift scale at which the default budget re-solves.
 		drifted, err := m.ApplyPatch(rowBatch(m, 0.001).Patch)
 		if err != nil {
 			b.Fatal(err)

@@ -15,6 +15,7 @@ package ivmf_test
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -64,7 +65,7 @@ func BenchmarkDowndateUnpatch(b *testing.B) {
 			b.Run(fmt.Sprintf("n=%d/r=20/batch=%g%%", n, frac*100), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					d2, err := d.Update(delta, core.Options{Refresh: core.RefreshNever})
+					d2, err := d.Update(delta, core.Options{RefreshBudget: math.Inf(1)})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -93,7 +94,7 @@ func BenchmarkDowndateRemoveRows(b *testing.B) {
 			b.Run(fmt.Sprintf("n=%d/r=20/rows=%d", n, k), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					d2, err := d.Update(delta, core.Options{Refresh: core.RefreshNever})
+					d2, err := d.Update(delta, core.Options{RefreshBudget: math.Inf(1)})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -117,7 +118,7 @@ func BenchmarkDowndateForget(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d/r=20", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				d2, err := d.Update(delta, core.Options{Refresh: core.RefreshNever})
+				d2, err := d.Update(delta, core.Options{RefreshBudget: math.Inf(1)})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -150,7 +151,7 @@ func BenchmarkWindowReplay(b *testing.B) {
 			b.Run(fmt.Sprintf("n=%d/r=20/churn=%g%%", n, frac*100), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					d2, err := d.Update(delta, core.Options{Refresh: core.RefreshNever})
+					d2, err := d.Update(delta, core.Options{RefreshBudget: math.Inf(1)})
 					if err != nil {
 						b.Fatal(err)
 					}
