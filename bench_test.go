@@ -225,6 +225,24 @@ func BenchmarkHungarian(b *testing.B) {
 	}
 }
 
+// BenchmarkILSA512x20 aligns one endpoint factor pair of the update
+// benchmarks' shape (n=512, rank 20): the r² column cosines plus the
+// Hungarian assignment. BENCH_kernels.json holds its before/after row.
+func BenchmarkILSA512x20(b *testing.B) {
+	rng := rand.New(rand.NewSource(22))
+	const n, r = 512, 20
+	vlo, vhi := matrix.New(n, r), matrix.New(n, r)
+	for i := range vlo.Data {
+		vlo.Data[i] = rng.NormFloat64()
+		vhi.Data[i] = vlo.Data[i] + 0.3*rng.NormFloat64()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		align.ILSA(vlo, vhi, assign.Hungarian)
+	}
+}
+
 // BenchmarkMatMulParallel measures the worker pool's effect on the dense
 // matrix product at the paper's Table 2 scale (500x500): the serial
 // sub-benchmark pins the pool to one worker, parallel uses every core.

@@ -29,6 +29,13 @@
 // ivmfd_model_health_* gauge families on /metrics and in the /readyz
 // detail (see README "Sliding windows & model health").
 //
+// Reads get a scheduler slot of their own: after recovery the process
+// runs one Go scheduler P more than the compute pool has workers
+// (see reserveReadP). Jobs, each bounded by -workers, fill the pool's
+// Ps; the spare one serves HTTP. A unit abandoned at its deadline keeps
+// computing outside the pool cap until it finishes and can take that P
+// meanwhile.
+//
 // On SIGTERM or SIGINT the server drains: admission stops (503), every
 // already-admitted job runs to completion, publishes its snapshot, and
 // reaches disk, then the HTTP listener shuts down and the store closes.
@@ -43,9 +50,11 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 	"time"
 
+	"repro/internal/parallel"
 	"repro/internal/service"
 )
 
@@ -86,6 +95,7 @@ func run(ctx context.Context, addr string, cfg service.Config, drainTimeout time
 	if err != nil {
 		return err
 	}
+	reserveReadP()
 	s.Start()
 
 	ln, err := net.Listen("tcp", addr)
@@ -129,4 +139,20 @@ func run(ctx context.Context, addr string, cfg service.Config, drainTimeout time
 		return err
 	}
 	return s.Close()
+}
+
+// reserveReadP gives the Go scheduler one P beyond the compute pool.
+// Both default to the CPU count, so while a job runs every P is busy and
+// a ready socket waits for a P to run dry (a parallel region's end) or
+// for sysmon's ~10 ms network poll; serial stretches such as Givens
+// sweeps have no region ends. Pinning the pool at its width first keeps
+// the job path unchanged (chunk boundaries depend only on
+// parallel.Workers, so results stay bitwise); the extra P finds no pool
+// work, parks in the network poller, and runs a request as soon as it
+// arrives. Called after recovery, so a restart's replay runs as before.
+// Idempotent: a second call keeps both widths.
+func reserveReadP() {
+	n := parallel.Workers()
+	parallel.SetWorkers(n)
+	runtime.GOMAXPROCS(n + 1)
 }

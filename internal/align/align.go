@@ -38,22 +38,41 @@ func ILSA(vlo, vhi *matrix.Dense, method assign.Method) Result {
 		panic("align: ILSA: shape mismatch")
 	}
 	r := vlo.Cols
+	// One row-order sweep gathers every column inner product, so no
+	// column is copied. dot[i*r+j] = ⟨vhi[:,i], vlo[:,j]⟩ and the squared
+	// norms sum over rows in ascending order, exactly as Cosine's loop
+	// does, so every cosine below has Cosine's bits.
+	dot := make([]float64, r*r)
+	nlo := make([]float64, r)
+	nhi := make([]float64, r)
+	for k := 0; k < vlo.Rows; k++ {
+		lo, hi := vlo.RowView(k), vhi.RowView(k)
+		for i, h := range hi {
+			d := dot[i*r : (i+1)*r]
+			for j, l := range lo {
+				d[j] += h * l
+			}
+			nhi[i] += h * h
+		}
+		for j, l := range lo {
+			nlo[j] += l * l
+		}
+	}
 	// score[i][j] = |cos(vhi[:,i], vlo[:,j])|: rows index Vhi columns,
 	// columns index Vlo columns, so perm[j] (row for column j) is directly
 	// the Vhi column paired with Vlo column j.
 	score := make([][]float64, r)
-	for i := 0; i < r; i++ {
+	for i := range score {
 		score[i] = make([]float64, r)
-		hi := vhi.Col(i)
-		for j := 0; j < r; j++ {
-			score[i][j] = math.Abs(Cosine(hi, vlo.Col(j)))
+		for j := range score[i] {
+			score[i][j] = math.Abs(cosine(dot[i*r+j], nhi[i], nlo[j]))
 		}
 	}
 	perm := assign.Solve(score, method)
 	flip := make([]bool, r)
 	cos := make([]float64, r)
-	for j := 0; j < r; j++ {
-		c := Cosine(vlo.Col(j), vhi.Col(perm[j]))
+	for j, p := range perm {
+		c := cosine(dot[p*r+j], nlo[j], nhi[p])
 		flip[j] = c < 0
 		cos[j] = math.Abs(c)
 	}
@@ -110,6 +129,12 @@ func Cosine(a, b []float64) float64 {
 		na += a[i] * a[i]
 		nb += b[i] * b[i]
 	}
+	return cosine(dot, na, nb)
+}
+
+// cosine finishes Cosine from the inner product and the two squared
+// norms.
+func cosine(dot, na, nb float64) float64 {
 	if na == 0 || nb == 0 {
 		return 0
 	}
@@ -118,13 +143,25 @@ func Cosine(a, b []float64) float64 {
 
 // ColumnCosines returns |cos| between corresponding columns of a and b
 // without alignment — the "before" series of the paper's Figures 3 and 5.
+// Like ILSA it sweeps rows once instead of copying columns; each sum
+// keeps Cosine's order.
 func ColumnCosines(a, b *matrix.Dense) []float64 {
 	if a.Cols != b.Cols {
 		panic("align: ColumnCosines: column mismatch")
 	}
-	out := make([]float64, a.Cols)
-	for j := 0; j < a.Cols; j++ {
-		out[j] = math.Abs(Cosine(a.Col(j), b.Col(j)))
+	r := a.Cols
+	dot, na, nb := make([]float64, r), make([]float64, r), make([]float64, r)
+	for k := 0; k < a.Rows; k++ {
+		ar, br := a.RowView(k), b.RowView(k)
+		for j, x := range ar {
+			y := br[j]
+			dot[j] += x * y
+			na[j] += x * x
+			nb[j] += y * y
+		}
 	}
-	return out
+	for j := range dot {
+		dot[j] = math.Abs(cosine(dot[j], na[j], nb[j]))
+	}
+	return dot
 }

@@ -141,3 +141,79 @@ func TestPropILSAImprovesAlignment(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// ilsaByColumns is ILSA and ColumnCosines as first written: one Cosine
+// per column pair over copied columns. It is the reference the row-sweep
+// versions must match bit for bit.
+func ilsaByColumns(vlo, vhi *matrix.Dense, method assign.Method) (Result, []float64) {
+	r := vlo.Cols
+	score := make([][]float64, r)
+	for i := 0; i < r; i++ {
+		score[i] = make([]float64, r)
+		hi := vhi.Col(i)
+		for j := 0; j < r; j++ {
+			score[i][j] = math.Abs(Cosine(hi, vlo.Col(j)))
+		}
+	}
+	perm := assign.Solve(score, method)
+	flip := make([]bool, r)
+	cos := make([]float64, r)
+	for j := 0; j < r; j++ {
+		c := Cosine(vlo.Col(j), vhi.Col(perm[j]))
+		flip[j] = c < 0
+		cos[j] = math.Abs(c)
+	}
+	unaligned := make([]float64, r)
+	for j := range unaligned {
+		unaligned[j] = math.Abs(Cosine(vlo.Col(j), vhi.Col(j)))
+	}
+	return Result{Perm: perm, Flip: flip, Cos: cos}, unaligned
+}
+
+// TestILSAMatchesColumnReference pins ILSA and ColumnCosines bitwise to
+// the per-column-copy reference on 512×20 inputs shaped like an
+// endpoint pair: vhi is vlo permuted, partly sign-flipped and perturbed,
+// with one duplicated column (tied scores), one exact copy and one zero
+// column (Cosine's zero-norm case).
+func TestILSAMatchesColumnReference(t *testing.T) {
+	const n, r = 512, 20
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		vlo := matrix.New(n, r)
+		for i := range vlo.Data {
+			vlo.Data[i] = rng.NormFloat64()
+		}
+		vhi := matrix.New(n, r)
+		perm := rng.Perm(r)
+		for j, src := range perm {
+			sign := 1.0
+			if rng.Intn(2) == 0 {
+				sign = -1
+			}
+			noise := 0.3 * rng.Float64()
+			for i := 0; i < n; i++ {
+				vhi.Set(i, j, sign*vlo.At(i, src)+noise*rng.NormFloat64())
+			}
+		}
+		vhi.SetCol(int(seed)%r, vhi.Col((int(seed)+1)%r))
+		vhi.SetCol((int(seed)+2)%r, vlo.Col((int(seed)+5)%r))
+		vhi.SetCol((int(seed)+3)%r, make([]float64, n))
+		for _, method := range []assign.Method{assign.Hungarian, assign.Greedy, assign.StableMarriage} {
+			got := ILSA(vlo, vhi, method)
+			want, wantCos := ilsaByColumns(vlo, vhi, method)
+			for j := 0; j < r; j++ {
+				if got.Perm[j] != want.Perm[j] || got.Flip[j] != want.Flip[j] ||
+					math.Float64bits(got.Cos[j]) != math.Float64bits(want.Cos[j]) {
+					t.Fatalf("seed %d method %v col %d: got (%d, %v, %x), want (%d, %v, %x)", seed, method, j,
+						got.Perm[j], got.Flip[j], math.Float64bits(got.Cos[j]),
+						want.Perm[j], want.Flip[j], math.Float64bits(want.Cos[j]))
+				}
+			}
+			for j, c := range ColumnCosines(vlo, vhi) {
+				if math.Float64bits(c) != math.Float64bits(wantCos[j]) {
+					t.Fatalf("seed %d ColumnCosines[%d] = %x, want %x", seed, j, math.Float64bits(c), math.Float64bits(wantCos[j]))
+				}
+			}
+		}
+	}
+}

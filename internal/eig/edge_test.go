@@ -1,8 +1,11 @@
 package eig
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/matrix"
@@ -132,6 +135,41 @@ func TestSVDDuplicateSingularValues(t *testing.T) {
 		if math.Abs(s-1) > 1e-12 {
 			t.Fatalf("σ = %v", res.S)
 		}
+	}
+}
+
+// TestSVDNearOrthonormalConverges pins solver totality on the input that
+// used to stall Golub-Reinsch: the 384×16 V midpoint ISVD4 inverts for
+// a window-churn base (servebench's windowTenant("t3", 384, 24000, 16,
+// 120, 120, 4, 0.95, 0.85) drawn from rand.NewSource(6000027003)),
+// checked in bit-exact as little-endian float64s in row order. Its
+// columns are nearly orthonormal, so all 16 singular values are
+// 1 ± 3e-15; at k=6 rv1 settles at half an ulp of anorm, where the
+// textbook split test |rv1|+anorm == anorm rounds up and never fires.
+func TestSVDNearOrthonormalConverges(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "svd_stall_384x16.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := matrix.New(384, 16)
+	if len(raw) != 8*len(a.Data) {
+		t.Fatalf("fixture holds %d bytes, want %d", len(raw), 8*len(a.Data))
+	}
+	for i := range a.Data {
+		a.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+	}
+	res, err := SVD(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSVD(t, a, res, "near-orthonormal 384x16")
+	for _, s := range res.S {
+		if math.Abs(s-1) > 1e-13 {
+			t.Fatalf("σ = %v, want all ≈ 1", res.S)
+		}
+	}
+	if _, err := PInv(a, 0); err != nil {
+		t.Fatalf("PInv: %v", err)
 	}
 }
 

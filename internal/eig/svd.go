@@ -10,6 +10,10 @@ import (
 
 const maxSVDIterations = 75
 
+// slowSplitIts is the sweep count after which golubReinsch's split test
+// also accepts an off-diagonal within one ulp of the matrix norm.
+const slowSplitIts = 30
+
 // SVDResult holds a thin singular value decomposition A ≈ U·diag(S)·Vᵀ
 // with k = min(rows, cols) columns in U and V and S sorted descending.
 type SVDResult struct {
@@ -311,9 +315,20 @@ func golubReinsch(ut *matrix.Dense) (w []float64, vt *matrix.Dense, err error) {
 			}
 			flag := true
 			var nm int
+			// After slowSplitIts sweeps on one k, an rv1 within 2⁻⁵²·anorm
+			// also splits: at half an ulp of anorm the rounded sum
+			// |rv1|+anorm can round up and never equal anorm, and a
+			// near-orthonormal input (every σ ≈ 1) then sweeps until
+			// maxSVDIterations. Earlier sweeps keep the textbook test, so
+			// an input whose every k splits within slowSplitIts sweeps
+			// gets the same bits as before.
+			tiny := 0.0
+			if its >= slowSplitIts {
+				tiny = 0x1p-52 * anorm
+			}
 			for l = k; l >= 0; l-- {
 				nm = l - 1
-				if math.Abs(rv1[l])+anorm == anorm {
+				if off := math.Abs(rv1[l]); off+anorm == anorm || off <= tiny {
 					flag = false
 					break
 				}

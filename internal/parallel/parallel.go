@@ -20,6 +20,11 @@
 // claimed from a shared budget of Workers()-1 slots, so nested For/Do
 // calls (a decomposition fan-out whose kernels are themselves parallel)
 // degrade to inline execution instead of multiplying goroutines.
+//
+// The pool width is not the scheduler's P count. Workers defaults to
+// GOMAXPROCS, but a process may pin it with SetWorkers and run more Ps:
+// cmd/ivmfd runs one P beyond the pool, so its HTTP reads need not wait
+// for a pool chunk to give up a P.
 package parallel
 
 import (
