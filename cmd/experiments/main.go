@@ -42,7 +42,7 @@ func main() {
 	density := flag.Float64("density", 0, "override ratings observed-cell fraction (0 = dataset default)")
 	seed := flag.Int64("seed", 0, "RNG seed")
 	withLP := flag.Bool("lp", false, "include the LP competitor class")
-	solver := flag.String("solver", "auto", "eigen/SVD backend of the ISVD/PCA decompositions (the LP competitor always uses the full solver): auto, full, or truncated")
+	solver := flag.String("solver", "auto", "eigen/SVD backend of the ISVD decompositions (the LP competitor always uses the full solver): auto, full, or truncated")
 	workers := flag.Int("workers", 0, "worker-pool goroutines (0 = GOMAXPROCS); results are identical for any value")
 	flag.Parse()
 	parallel.SetWorkers(*workers)

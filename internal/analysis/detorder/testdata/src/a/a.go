@@ -21,7 +21,7 @@ func bad(m map[string]int, ch chan int) int {
 	_ = d
 	s += rand.Int() // want `global rand\.Int in deterministic function bad`
 	rand.Seed(42)   // want `global rand\.Seed in deterministic function bad`
-	select { // want `multi-case select in deterministic function bad`
+	select {        // want `multi-case select in deterministic function bad`
 	case v := <-ch:
 		s += v
 	default:

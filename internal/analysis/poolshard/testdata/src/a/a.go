@@ -21,9 +21,9 @@ func bad(xs, dst []float64, m map[int]float64, p *float64) {
 		}
 	})
 	parallel.ForWith(2, len(xs), 1, func(lo, hi int) {
-		*p = xs[lo]    // want `writes through captured p`
-		global = 1     // want `writes captured variable global`
-		total++        // want `writes captured variable total`
+		*p = xs[lo] // want `writes through captured p`
+		global = 1  // want `writes captured variable global`
+		total++     // want `writes captured variable total`
 	})
 	_ = total
 }

@@ -104,15 +104,17 @@ type Options struct {
 	// kernels always use the shared pool; results are bitwise identical
 	// for any worker count.
 	Workers int
-	// Solver routes the endpoint SVD / Gram eigen-decompositions:
-	// eig.SolverAuto (the zero value) picks the truncated rank-r subspace
+	// Solver is the solver choice of every endpoint SVD, Gram
+	// eigen-decomposition, factor pseudo-inverse and update refresh, all
+	// of which go through eig.RoutedSVD / eig.RoutedSymEig:
+	// eig.SolverAuto (the zero value) tries the truncated rank-r subspace
 	// solver when Rank plus its oversampling is below a third of the
-	// operator dimension and the full O(n³) solver otherwise;
-	// eig.SolverFull and eig.SolverTruncated force a path. The truncated
-	// solver matches the full one to 1e-9 relative tolerance and falls
-	// back to it automatically when the spectrum is too flat to converge,
-	// so auto never changes results beyond that tolerance. Either way the
-	// output is bitwise identical for any worker count.
+	// operator dimension, eig.SolverTruncated always tries it, and
+	// eig.SolverFull never does. A truncated attempt that does not
+	// converge (a flat spectrum) falls back to the full O(n³) solver, and
+	// the truncated solver matches the full one to 1e-9 relative
+	// tolerance, so auto never changes results beyond that tolerance.
+	// Either way the output is bitwise identical for any worker count.
 	Solver eig.Solver
 	// Updatable retains the endpoint factor states and a sparse copy of
 	// the input in the returned Decomposition so Update can fold
@@ -225,20 +227,10 @@ func Decompose(m *imatrix.IMatrix, method Method, opts Options) (*Decomposition,
 	if err := ValidateInput(m); err != nil {
 		return nil, err
 	}
-	switch method {
-	case ISVD0:
-		return DecomposeISVD0(m, opts)
-	case ISVD1:
-		return DecomposeISVD1(m, opts)
-	case ISVD2:
-		return DecomposeISVD2(m, opts)
-	case ISVD3:
-		return DecomposeISVD3(m, opts)
-	case ISVD4:
-		return DecomposeISVD4(m, opts)
-	default:
-		return nil, fmt.Errorf("core: unknown method %v", method)
+	if err := validateUpdatable(method, opts, func() bool { return nonNegativeDense(m.Lo) }); err != nil {
+		return nil, err
 	}
+	return decompose(denseOperand{m}, method, opts.withDefaults(m))
 }
 
 // ParseMethod parses a method name as it appears in CLI flags and

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"repro/internal/align"
@@ -68,7 +69,7 @@ func (o denseOperand) svdMid(opts Options) (*eig.SVDResult, time.Duration, time.
 	avg := o.m.Mid()
 	pre := time.Since(t0)
 	t0 = time.Now()
-	res, err := eig.SVDWith(avg, opts.Rank, opts.Solver)
+	res, err := denseSVD(avg, opts)
 	return res, pre, time.Since(t0), err
 }
 
@@ -77,8 +78,8 @@ func (o denseOperand) svdEndpoints(opts Options) (lo, hi *eig.SVDResult, err err
 	// shared pool, bounded by opts.Workers when set.
 	var errLo, errHi error
 	parallel.DoWith(opts.Workers,
-		func() { lo, errLo = eig.SVDWith(o.m.Lo, opts.Rank, opts.Solver) },
-		func() { hi, errHi = eig.SVDWith(o.m.Hi, opts.Rank, opts.Solver) },
+		func() { lo, errLo = denseSVD(o.m.Lo, opts) },
+		func() { hi, errHi = denseSVD(o.m.Hi, opts) },
 	)
 	if errLo != nil {
 		return nil, nil, fmt.Errorf("min side: %w", errLo)
@@ -87,6 +88,11 @@ func (o denseOperand) svdEndpoints(opts Options) (lo, hi *eig.SVDResult, err err
 		return nil, nil, fmt.Errorf("max side: %w", errHi)
 	}
 	return lo, hi, nil
+}
+
+// denseSVD is the routed SVD of one dense matrix at opts.Rank.
+func denseSVD(a *matrix.Dense, opts Options) (*eig.SVDResult, error) {
+	return eig.RoutedSVD(eig.NewDenseOp(a), opts.Rank, opts.Solver, eig.Options{}, func() *matrix.Dense { return a })
 }
 
 func (o denseOperand) gramEig(opts Options) (*matrix.Dense, *matrix.Dense, []float64, []float64, time.Duration, time.Duration, error) {
@@ -111,26 +117,6 @@ func (o denseOperand) applyLo(v *matrix.Dense) *matrix.Dense { return matrix.Mul
 func (o denseOperand) applyHi(v *matrix.Dense) *matrix.Dense { return matrix.Mul(o.m.Hi, v) }
 func (o denseOperand) toICSR() *sparse.ICSR                  { return sparse.FromIMatrix(o.m) }
 
-// truncatedGramPair runs the truncated symmetric eigensolver on the two
-// endpoint Gram operators concurrently (bounded by workers) and converts
-// eigenvalues to singular values. A non-convergence on either side fails
-// the pair as a whole so both endpoints stay on the same solver.
-func truncatedGramPair(opLo, opHi eig.SymOp, rank, workers int) (vLo, vHi *matrix.Dense, sLo, sHi []float64, err error) {
-	var valsLo, valsHi []float64
-	var errLo, errHi error
-	parallel.DoWith(workers,
-		func() { valsLo, vLo, errLo = eig.TruncatedSymEig(opLo, rank) },
-		func() { valsHi, vHi, errHi = eig.TruncatedSymEig(opHi, rank) },
-	)
-	if errLo != nil {
-		return nil, nil, nil, nil, errLo
-	}
-	if errHi != nil {
-		return nil, nil, nil, nil, errHi
-	}
-	return vLo, vHi, sqrtClamped(valsLo), sqrtClamped(valsHi), nil
-}
-
 // nonNegativeDense reports whether every element of d is >= 0.
 func nonNegativeDense(d *matrix.Dense) bool {
 	for _, v := range d.Data {
@@ -141,18 +127,30 @@ func nonNegativeDense(d *matrix.Dense) bool {
 	return true
 }
 
-// DecomposeISVD0 implements the naive average-and-decompose strategy
+// decompose runs method's pipeline on op; Decompose, DecomposeSparse and
+// Update all dispatch through it.
+func decompose(op operand, method Method, opts Options) (*Decomposition, error) {
+	switch method {
+	case ISVD0:
+		return decomposeISVD0(op, opts)
+	case ISVD1:
+		return decomposeISVD1(op, opts)
+	case ISVD2:
+		return decomposeISVD2(op, opts)
+	case ISVD3:
+		return decomposeISVD3(op, opts)
+	case ISVD4:
+		return decomposeISVD4(op, opts)
+	default:
+		return nil, fmt.Errorf("core: unknown method %v", method)
+	}
+}
+
+// decomposeISVD0 implements the naive average-and-decompose strategy
 // (Section 4.1): plain SVD of the interval midpoint matrix. The result is
 // scalar-valued and therefore only compatible with TargetC semantics, but
 // it is returned under whatever target was requested, with degenerate
 // intervals.
-func DecomposeISVD0(m *imatrix.IMatrix, opts Options) (*Decomposition, error) {
-	if err := validateUpdatable(ISVD0, opts, func() bool { return nonNegativeDense(m.Lo) }); err != nil {
-		return nil, err
-	}
-	return decomposeISVD0(denseOperand{m}, opts.withDefaults(m))
-}
-
 func decomposeISVD0(op operand, opts Options) (*Decomposition, error) {
 	var tm Timings
 	res, pre, dec, err := op.svdMid(opts)
@@ -179,17 +177,10 @@ func decomposeISVD0(op operand, opts Options) (*Decomposition, error) {
 	return d, nil
 }
 
-// DecomposeISVD1 implements decompose-and-align (Section 4.2): the
+// decomposeISVD1 implements decompose-and-align (Section 4.2): the
 // endpoint matrices M* and M^* are SVD-decomposed independently, then the
 // maximum-side factors are permuted and sign-flipped by ILSA to align
 // with the minimum side.
-func DecomposeISVD1(m *imatrix.IMatrix, opts Options) (*Decomposition, error) {
-	if err := validateUpdatable(ISVD1, opts, func() bool { return nonNegativeDense(m.Lo) }); err != nil {
-		return nil, err
-	}
-	return decomposeISVD1(denseOperand{m}, opts.withDefaults(m))
-}
-
 func decomposeISVD1(op operand, opts Options) (*Decomposition, error) {
 	var tm Timings
 	t0 := time.Now()
@@ -236,11 +227,11 @@ func decomposeISVD1(op operand, opts Options) (*Decomposition, error) {
 // per-side right singular vectors and singular values (sqrt of clamped
 // eigenvalues). Solver routing: when Options.Solver selects the truncated
 // path and the data is entrywise non-negative (so the Algorithm 1 endpoint
-// Gram collapses to [Loᵀ·Lo, Hiᵀ·Hi]), the Gram matrices are never
-// materialized — each side runs matrix-free on a Gram operator at
-// O(n·m·r) total. Otherwise the interval Gram is built as before and the
-// truncated solver (or, for the full path and on non-convergence
-// fallback, the full SymEig) runs on its endpoints.
+// Gram collapses to [Loᵀ·Lo, Hiᵀ·Hi]), the Gram matrices are materialized
+// only if a side falls back to the full solver — on convergence each side
+// runs matrix-free on a Gram operator at O(n·m·r) total. Otherwise the
+// interval Gram is built first and both sides are routed on its
+// endpoints.
 func gramEig(m *imatrix.IMatrix, opts Options) (vLo, vHi *matrix.Dense, sLo, sHi []float64, pre, dec time.Duration, err error) {
 	matrixFree := func() (eig.SymOp, eig.SymOp) {
 		if opts.ExactAlgebra || !nonNegativeDense(m.Lo) {
@@ -260,66 +251,74 @@ func gramEig(m *imatrix.IMatrix, opts Options) (vLo, vHi *matrix.Dense, sLo, sHi
 	return gramEigRouted(opts, m.Cols(), matrixFree, materialize)
 }
 
-// gramEigRouted is the solver-routing pipeline shared by the dense and
-// sparse operands' gramEig: an optional matrix-free truncated attempt on
-// the endpoint Gram operators (matrixFree returns nils when the data
-// does not qualify — mixed signs, where the min/max-combined Gram is not
-// [LoᵀLo, HiᵀHi], or exact algebra), then the materialized interval Gram
-// under the routed solver. After a matrix-free non-convergence the
-// materialized attempt skips straight to the full solver: for qualifying
-// data its endpoints are exactly the operators that just failed, so a
-// truncated retry would only burn a second iteration budget on the same
-// spectrum. On the materialized mixed-sign path SymEigWith's signed-top
-// certificate guards indefiniteness, falling back to the full solver
-// whenever the negative spectrum would make truncation unsound.
+// gramEigRouted is the Gram eigen step shared by the dense and sparse
+// operands' gramEig: one eig.RoutedSymEig call per endpoint side, run
+// concurrently (they dominate the decomposition cost, Figure 6b). When
+// the route is truncated and matrixFree returns the endpoint Gram
+// operators (nils when the data does not qualify: mixed signs, where the
+// min/max-combined Gram is not [LoᵀLo, HiᵀHi], or exact algebra), the
+// sides iterate on those and materialize the interval Gram, at most once,
+// only in a full-solver fallback. That pair falls back as a pair: if one
+// side does not converge the other is re-solved on the full solver too,
+// so both endpoints come from the same solver. Otherwise the interval
+// Gram is materialized first and each side is routed on its endpoint
+// independently; on mixed-sign data the truncated solver's signed-top
+// certificate sends a side to the full solver whenever its negative
+// spectrum would make truncation unsound. pre is the Gram construction;
+// dec is the rest of the step, abandoned truncated attempts included.
 func gramEigRouted(opts Options, n int, matrixFree func() (eig.SymOp, eig.SymOp), materialize func() *imatrix.IMatrix) (vLo, vHi *matrix.Dense, sLo, sHi []float64, pre, dec time.Duration, err error) {
-	rank := opts.Rank
-	useTrunc := opts.Solver.UseTruncated(rank, n)
-
-	if useTrunc {
-		if opLo, opHi := matrixFree(); opLo != nil {
-			t0 := time.Now()
-			vLo, vHi, sLo, sHi, err = truncatedGramPair(opLo, opHi, rank, opts.Workers)
-			if err == nil {
-				return vLo, vHi, sLo, sHi, 0, time.Since(t0), nil
-			}
-			if err != eig.ErrNoConvergence {
-				return nil, nil, nil, nil, 0, 0, fmt.Errorf("truncated eig of A†: %w", err)
-			}
-			useTrunc = false
-		}
+	start := time.Now()
+	var gram *imatrix.IMatrix
+	var once sync.Once
+	build := func() {
+		t0 := time.Now()
+		gram = materialize()
+		pre = time.Since(t0)
 	}
-
-	t0 := time.Now()
-	a := materialize()
-	pre = time.Since(t0)
-
-	solver := opts.Solver
-	if !useTrunc {
-		solver = eig.SolverFull
+	var ops [2]eig.SymOp
+	if opts.Solver.UseTruncated(opts.Rank, n) {
+		ops[0], ops[1] = matrixFree()
 	}
-	// The two endpoint eigen-decompositions are independent; run them
-	// concurrently on the shared pool, bounded by opts.Workers when set
-	// (they dominate the decomposition cost, Figure 6b).
-	t0 = time.Now()
-	var valsLo, valsHi []float64
-	var vecsLo, vecsHi *matrix.Dense
-	var errLo, errHi error
-	parallel.DoWith(opts.Workers,
-		func() { valsLo, vecsLo, errLo = eig.SymEigWith(a.Lo, rank, solver) },
-		func() { valsHi, vecsHi, errHi = eig.SymEigWith(a.Hi, rank, solver) },
+	paired := ops[0] != nil
+	if !paired {
+		once.Do(build)
+		ops[0], ops[1] = eig.NewDenseSymOp(gram.Lo), eig.NewDenseSymOp(gram.Hi)
+	}
+	var (
+		vals [2][]float64
+		vecs [2]*matrix.Dense
+		errs [2]error
+		full [2]bool
 	)
-	if errLo != nil {
-		return nil, nil, nil, nil, 0, 0, fmt.Errorf("eig of A*: %w", errLo)
+	solve := func(side int, solver eig.Solver) {
+		vals[side], vecs[side], errs[side] = eig.RoutedSymEig(ops[side], opts.Rank, solver, eig.Options{}, func() *matrix.Dense {
+			once.Do(build)
+			full[side] = true
+			if side == 0 {
+				return gram.Lo
+			}
+			return gram.Hi
+		})
 	}
-	if errHi != nil {
-		return nil, nil, nil, nil, 0, 0, fmt.Errorf("eig of A^*: %w", errHi)
+	parallel.DoWith(opts.Workers,
+		func() { solve(0, opts.Solver) },
+		func() { solve(1, opts.Solver) },
+	)
+	if paired && full[0] != full[1] {
+		converged := 0
+		if full[0] {
+			converged = 1
+		}
+		solve(converged, eig.SolverFull)
 	}
-	dec = time.Since(t0)
-
-	sLo = sqrtClamped(valsLo)
-	sHi = sqrtClamped(valsHi)
-	return vecsLo, vecsHi, sLo, sHi, pre, dec, nil
+	if errs[0] != nil {
+		return nil, nil, nil, nil, 0, 0, fmt.Errorf("eig of A*: %w", errs[0])
+	}
+	if errs[1] != nil {
+		return nil, nil, nil, nil, 0, 0, fmt.Errorf("eig of A^*: %w", errs[1])
+	}
+	dec = time.Since(start) - pre
+	return vecs[0], vecs[1], sqrtClamped(vals[0]), sqrtClamped(vals[1]), pre, dec, nil
 }
 
 func sqrtClamped(vals []float64) []float64 {
@@ -351,17 +350,10 @@ func recoverUFrom(mv *matrix.Dense, s []float64) *matrix.Dense {
 	return mv
 }
 
-// DecomposeISVD2 implements decompose-solve-align (Section 4.3): the
+// decomposeISVD2 implements decompose-solve-align (Section 4.3): the
 // interval Gram matrix is eigen-decomposed per side, the left factors are
 // recovered per side from the SVD identity, and only then are the latent
 // spaces aligned.
-func DecomposeISVD2(m *imatrix.IMatrix, opts Options) (*Decomposition, error) {
-	if err := validateUpdatable(ISVD2, opts, func() bool { return nonNegativeDense(m.Lo) }); err != nil {
-		return nil, err
-	}
-	return decomposeISVD2(denseOperand{m}, opts.withDefaults(m))
-}
-
 func decomposeISVD2(op operand, opts Options) (*Decomposition, error) {
 	var tm Timings
 
@@ -470,14 +462,7 @@ func isvd34Common(op operand, opts Options, d *Decomposition, tm *Timings) (p pa
 	return parts{U: u, V: v, SLo: sLo, SHi: sHi}, sigmaInv, nil
 }
 
-// DecomposeISVD3 implements decompose-align-solve (Section 4.4).
-func DecomposeISVD3(m *imatrix.IMatrix, opts Options) (*Decomposition, error) {
-	if err := validateUpdatable(ISVD3, opts, func() bool { return nonNegativeDense(m.Lo) }); err != nil {
-		return nil, err
-	}
-	return decomposeISVD3(denseOperand{m}, opts.withDefaults(m))
-}
-
+// decomposeISVD3 implements decompose-align-solve (Section 4.4).
 func decomposeISVD3(op operand, opts Options) (*Decomposition, error) {
 	d := &Decomposition{Method: ISVD3, Target: opts.Target, Rank: opts.Rank, ExactAlgebra: opts.ExactAlgebra}
 	var tm Timings
@@ -492,17 +477,10 @@ func decomposeISVD3(op operand, opts Options) (*Decomposition, error) {
 	return d, nil
 }
 
-// DecomposeISVD4 implements decompose-align-solve-recompute
+// decomposeISVD4 implements decompose-align-solve-recompute
 // (Section 4.5): after recovering U† as in ISVD3, the right factor is
 // recomputed as V† = [(Σ†)⁻¹ × (U†)⁻¹ × M†]ᵀ, which tightens the V
 // intervals by propagating the alignment benefits of the U side.
-func DecomposeISVD4(m *imatrix.IMatrix, opts Options) (*Decomposition, error) {
-	if err := validateUpdatable(ISVD4, opts, func() bool { return nonNegativeDense(m.Lo) }); err != nil {
-		return nil, err
-	}
-	return decomposeISVD4(denseOperand{m}, opts.withDefaults(m))
-}
-
 func decomposeISVD4(op operand, opts Options) (*Decomposition, error) {
 	d := &Decomposition{Method: ISVD4, Target: opts.Target, Rank: opts.Rank, ExactAlgebra: opts.ExactAlgebra}
 	var tm Timings

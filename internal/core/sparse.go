@@ -28,15 +28,15 @@ func (o sparseOperand) svdMid(opts Options) (*eig.SVDResult, time.Duration, time
 	mid := o.m.MidCSR()
 	pre := time.Since(t0)
 	t0 = time.Now()
-	res, err := sparseSVD(mid, opts.Rank, opts.Solver)
+	res, err := csrSVD(mid, opts)
 	return res, pre, time.Since(t0), err
 }
 
 func (o sparseOperand) svdEndpoints(opts Options) (lo, hi *eig.SVDResult, err error) {
 	var errLo, errHi error
 	parallel.DoWith(opts.Workers,
-		func() { lo, errLo = sparseSVD(o.m.LoCSR(), opts.Rank, opts.Solver) },
-		func() { hi, errHi = sparseSVD(o.m.HiCSR(), opts.Rank, opts.Solver) },
+		func() { lo, errLo = csrSVD(o.m.LoCSR(), opts) },
+		func() { hi, errHi = csrSVD(o.m.HiCSR(), opts) },
 	)
 	if errLo != nil {
 		return nil, nil, fmt.Errorf("min side: %w", errLo)
@@ -45,6 +45,16 @@ func (o sparseOperand) svdEndpoints(opts Options) (lo, hi *eig.SVDResult, err er
 		return nil, nil, fmt.Errorf("max side: %w", errHi)
 	}
 	return lo, hi, nil
+}
+
+// csrSVD is the routed SVD of one CSR matrix at opts.Rank: matrix-free
+// (O(NNZ·r) per sweep, never densified) on the truncated route, and on a
+// one-off dense expansion for the full solver — a full-spectrum
+// decomposition needs the dense matrix anyway, so SolverFull (or an auto
+// routing at near-full rank) is only sensible for matrices that fit
+// densely.
+func csrSVD(a *sparse.CSR, opts Options) (*eig.SVDResult, error) {
+	return eig.RoutedSVD(sparse.NewOperator(a), opts.Rank, opts.Solver, eig.Options{}, a.ToDense)
 }
 
 func (o sparseOperand) gramEig(opts Options) (vLo, vHi *matrix.Dense, sLo, sHi []float64, pre, dec time.Duration, err error) {
@@ -83,31 +93,6 @@ func (o sparseOperand) applyHi(v *matrix.Dense) *matrix.Dense {
 }
 
 func (o sparseOperand) toICSR() *sparse.ICSR { return o.m }
-
-// sparseSVD decomposes one endpoint CSR at the given rank: through the
-// matrix-free truncated solver when the routing selects it (O(NNZ·r) per
-// sweep, never densified), through the full dense solver on a one-off
-// dense expansion otherwise — a full-spectrum decomposition needs the
-// dense matrix anyway, so SolverFull (or an auto routing at near-full
-// rank) is only sensible for matrices that fit densely.
-func sparseSVD(a *sparse.CSR, rank int, solver eig.Solver) (*eig.SVDResult, error) {
-	minDim := a.Rows
-	if a.Cols < minDim {
-		minDim = a.Cols
-	}
-	if solver.UseTruncated(rank, minDim) {
-		res, err := eig.TruncatedSVD(sparse.NewOperator(a), rank)
-		if err == nil {
-			return res, nil
-		}
-		if err != eig.ErrNoConvergence {
-			return nil, err
-		}
-	}
-	// Densifying fallback (eig.SVDWith with the solver forced full: the
-	// matrix-free attempt above already failed or was not routed).
-	return eig.SVDWith(a.ToDense(), rank, eig.SolverFull)
-}
 
 // ValidateSparseInput checks that a sparse interval matrix is a legal
 // decomposition input: finite stored endpoints and Lo <= Hi everywhere.
@@ -150,19 +135,5 @@ func DecomposeSparse(m *sparse.ICSR, method Method, opts Options) (*Decompositio
 	if err := validateUpdatable(method, opts, m.NonNegative); err != nil {
 		return nil, err
 	}
-	op := sparseOperand{m}
-	switch method {
-	case ISVD0:
-		return decomposeISVD0(op, opts)
-	case ISVD1:
-		return decomposeISVD1(op, opts)
-	case ISVD2:
-		return decomposeISVD2(op, opts)
-	case ISVD3:
-		return decomposeISVD3(op, opts)
-	case ISVD4:
-		return decomposeISVD4(op, opts)
-	default:
-		return nil, fmt.Errorf("core: unknown method %v", method)
-	}
+	return decompose(sparseOperand{m}, method, opts)
 }

@@ -29,8 +29,8 @@ import (
 // Each additive update discards singular mass when the batch pushes
 // content past the kept rank; the engine accumulates the discarded
 // fraction and schedules a warm-started truncated re-solve
-// (eig.TruncatedSVDOpts seeded with the current factors — one or two
-// sweeps on drifted data) when the running total exceeds
+// (eig.RoutedSVD seeded with the current factors — one or two sweeps on
+// drifted data) when the running total exceeds
 // Options.RefreshBudget. The additive path, the refresh
 // path, and the downstream stages all run on the deterministic kernels,
 // so updated decompositions are bitwise identical for any worker count.
@@ -547,18 +547,28 @@ func (d *Decomposition) Update(delta Delta, opts Options) (*Decomposition, error
 	}
 	warmed := false
 	if level == 1 {
+		// The refresh re-decomposes each factor side from the updated
+		// matrix, seeded with the current factors: on drifted data the
+		// warm-started truncated solver converges in a sweep or two; when
+		// it is not routed or does not converge (a flat spectrum, as on
+		// ratings data) the side is densified for the full solver, which
+		// then dominates the update's cost.
+		refresh := func(a *sparse.CSR, prev *eig.SVDResult) (*eig.SVDResult, error) {
+			return eig.RoutedSVD(sparse.NewOperator(a), rank, base.Solver,
+				eig.Options{StartU: prev.U, StartV: prev.V}, a.ToDense)
+		}
 		var warmErr error
 		if mid != nil {
 			var nf *eig.SVDResult
-			if nf, warmErr = warmSolve(m2.MidCSR(), mid, rank, base.Solver); warmErr == nil {
+			if nf, warmErr = refresh(m2.MidCSR(), mid); warmErr == nil {
 				mid = nf
 			}
 		} else {
 			var nlo, nhi *eig.SVDResult
 			var errLo, errHi error
 			parallel.DoWith(workers,
-				func() { nlo, errLo = warmSolve(m2.LoCSR(), lo, rank, base.Solver) },
-				func() { nhi, errHi = warmSolve(m2.HiCSR(), hi, rank, base.Solver) },
+				func() { nlo, errLo = refresh(m2.LoCSR(), lo) },
+				func() { nhi, errHi = refresh(m2.HiCSR(), hi) },
 			)
 			if warmErr = errLo; warmErr == nil {
 				warmErr = errHi
@@ -653,23 +663,7 @@ func (d *Decomposition) Update(delta Delta, opts Options) (*Decomposition, error
 	// the captured state's options are restored below.
 	reopts := base
 	reopts.Workers = workers
-	op := updateOperand{m: m2, lo: lo, hi: hi, mid: mid}
-	var d2 *Decomposition
-	var err error
-	switch d.Method {
-	case ISVD0:
-		d2, err = decomposeISVD0(op, reopts)
-	case ISVD1:
-		d2, err = decomposeISVD1(op, reopts)
-	case ISVD2:
-		d2, err = decomposeISVD2(op, reopts)
-	case ISVD3:
-		d2, err = decomposeISVD3(op, reopts)
-	case ISVD4:
-		d2, err = decomposeISVD4(op, reopts)
-	default:
-		return nil, fmt.Errorf("core: Update: unsupported method %v", d.Method)
-	}
+	d2, err := decompose(updateOperand{m: m2, lo: lo, hi: hi, mid: mid}, d.Method, reopts)
 	if err != nil {
 		return nil, err
 	}
@@ -776,31 +770,4 @@ func (o updateOperand) applyLo(v *matrix.Dense) *matrix.Dense {
 
 func (o updateOperand) applyHi(v *matrix.Dense) *matrix.Dense {
 	return sparse.MulDense(o.m.HiCSR(), v)
-}
-
-// warmSolve re-decomposes one factor side from the updated matrix,
-// seeded with the current factors: on drifted data the warm-started
-// truncated solver converges in a sweep or two. When the truncated
-// iteration is not routed or does not converge (a flat spectrum, as on
-// ratings data), it densifies the endpoint and runs the full
-// Golub-Reinsch eig.SVD, which then dominates the update's cost.
-func warmSolve(csr *sparse.CSR, prev *eig.SVDResult, rank int, solver eig.Solver) (*eig.SVDResult, error) {
-	minDim := csr.Rows
-	if csr.Cols < minDim {
-		minDim = csr.Cols
-	}
-	if rank > minDim {
-		rank = minDim
-	}
-	if solver.UseTruncated(rank, minDim) {
-		res, err := eig.TruncatedSVDOpts(sparse.NewOperator(csr), rank,
-			eig.Options{StartU: prev.U, StartV: prev.V})
-		if err == nil {
-			return res, nil
-		}
-		if err != eig.ErrNoConvergence {
-			return nil, err
-		}
-	}
-	return sparseSVD(csr, rank, eig.SolverFull)
 }

@@ -23,10 +23,10 @@ func PInv(a *matrix.Dense, cutoff float64) (*matrix.Dense, error) {
 // matrix has at most rank meaningful singular values (the ISVD factor
 // inversions) lose nothing. SolverAuto only routes to the truncated
 // solver when rank is well below min(m, n) (see Solver.UseTruncated), and
-// any truncated non-convergence falls back to the full decomposition, so
-// PInvWith never fails where PInv would succeed.
+// RoutedSVD falls back to the full decomposition on any truncated
+// non-convergence, so PInvWith never fails where PInv would succeed.
 func PInvWith(a *matrix.Dense, cutoff float64, solver Solver, rank int) (*matrix.Dense, error) {
-	res, err := SVDWith(a, rank, solver)
+	res, err := RoutedSVD(NewDenseOp(a), rank, solver, Options{}, func() *matrix.Dense { return a })
 	if err != nil {
 		return nil, err
 	}

@@ -20,10 +20,12 @@
 // Convergence is linear with ratio λ_{b+1}/λ_r per iteration (b = r +
 // oversampling), so the solver shines on spectra with decay past rank r
 // (Gram matrices of low intrinsic rank, covariance matrices, rating
-// factors) and gives up early — returning ErrNoConvergence for the caller
-// to fall back on the full solver — when the spectrum is flat and the
-// iteration budget (bounded by a small multiple of the full solver's
-// flops) runs out.
+// factors) and gives up early with ErrNoConvergence when the spectrum is
+// flat and the iteration budget (bounded by a small multiple of the full
+// solver's flops) runs out. RoutedSVD and RoutedSymEig hold the one
+// routing policy every caller goes through: try the truncated solver
+// when Solver routes to it, and fall back to the full one on
+// ErrNoConvergence.
 package eig
 
 import (
@@ -210,10 +212,9 @@ func (g *coGramOp) ApplySym(dst, x *matrix.Dense) {
 }
 
 // Options configures the truncated solvers beyond the target rank; the
-// zero value reproduces the cold-start behavior of TruncatedSymEig and
-// TruncatedSVD exactly.
+// zero value is a cold start from the fixed seeded block.
 type Options struct {
-	// Start seeds TruncatedSymEigOpts' subspace iteration with an initial
+	// Start seeds TruncatedSymEig's subspace iteration with an initial
 	// block of column vectors (dim×k, k ≥ 1) instead of the fixed random
 	// start — typically the eigenvector block of a previous decomposition
 	// of a drifted operator, which converges in one or two sweeps instead
@@ -223,7 +224,7 @@ type Options struct {
 	// carries the full oversampled block. The result is bitwise
 	// deterministic given the same Start for any worker count.
 	Start *matrix.Dense
-	// StartU (rows×k) and StartV (cols×k) seed TruncatedSVDOpts from a
+	// StartU (rows×k) and StartV (cols×k) seed TruncatedSVD from a
 	// previous decomposition's singular factors. The solver iterates on
 	// the Gram operator of the smaller side, so it uses StartV when
 	// rows ≥ cols and StartU otherwise; the unused side may be nil.
@@ -260,30 +261,25 @@ func truncMaxIter(n, b int) int {
 
 // TruncatedSymEig computes the rank leading (algebraically largest)
 // eigenpairs of the symmetric operator op by deterministic blocked
-// subspace iteration: a seeded random start block of rank+Oversample
-// vectors, in-order Gram-Schmidt re-orthogonalization between sweeps, and
-// Rayleigh-Ritz projection solved by the full dense SymEig on the small
-// projected matrix. Eigenvalues are returned descending with their
-// eigenvectors in the columns of vecs (n×rank, orthonormal,
-// sign-canonicalized like SymEig's).
+// subspace iteration: a start block of rank+Oversample vectors (o.Start's
+// columns first, then a fixed seeded fill), in-order Gram-Schmidt
+// re-orthogonalization between sweeps, and Rayleigh-Ritz projection
+// solved by the full dense SymEig on the small projected matrix.
+// Eigenvalues are returned descending with their eigenvectors in the
+// columns of vecs (n×rank, orthonormal, sign-canonicalized like
+// SymEig's). A warm o.Start — the eigenvectors of a previous
+// decomposition of a drifted operator — begins the iteration inside or
+// near the invariant subspace it is chasing, so it typically converges
+// in one or two sweeps: the refresh path of the incremental-update
+// engine (internal/update, core.Decomposition.Update).
 //
 // The iteration tracks the dominant-magnitude subspace, so the result is
 // the algebraically-largest pairs provided no more than Oversample(rank)
 // negative eigenvalues exceed the rank-th positive one in magnitude —
 // true for the Gram-type (near-PSD) operators this solver serves. On
 // spectra too flat to converge within the iteration budget it returns
-// ErrNoConvergence; callers fall back to the full solver.
-func TruncatedSymEig(op SymOp, rank int) (vals []float64, vecs *matrix.Dense, err error) {
-	return TruncatedSymEigOpts(op, rank, Options{})
-}
-
-// TruncatedSymEigOpts is TruncatedSymEig with solver options: with a warm
-// Start block (the eigenvectors of a previous decomposition of a drifted
-// operator) the iteration begins inside — or near — the invariant
-// subspace it is chasing and typically converges in one or two sweeps,
-// which is the refresh path of the incremental-update engine
-// (internal/update, core.Decomposition.Update).
-func TruncatedSymEigOpts(op SymOp, rank int, o Options) (vals []float64, vecs *matrix.Dense, err error) {
+// ErrNoConvergence; RoutedSymEig then falls back to the full solver.
+func TruncatedSymEig(op SymOp, rank int, o Options) (vals []float64, vecs *matrix.Dense, err error) {
 	n := op.Dim()
 	if rank <= 0 || rank > n {
 		return nil, nil, fmt.Errorf("eig: TruncatedSymEig: rank %d out of range for dimension %d", rank, n)
@@ -416,19 +412,12 @@ func TruncatedSymEigOpts(op SymOp, rank int, o Options) (vals []float64, vecs *m
 // block apply — U = A·V·Σ⁻¹ or V = Aᵀ·U·Σ⁻¹. Sign canonicalization
 // matches SVD's (tall: by V, wide: by U), so where the solvers' vectors
 // agree they agree in orientation too. Zero singular values yield zero
-// columns in the recovered factor. Returns ErrNoConvergence like
+// columns in the recovered factor. o.StartU / o.StartV seed the Gram
+// iteration from a previous decomposition's factors (StartV when
+// rows ≥ cols, StartU otherwise), so a re-solve of a drifted matrix
+// converges in a sweep or two. Returns ErrNoConvergence like
 // TruncatedSymEig.
-func TruncatedSVD(op Op, rank int) (*SVDResult, error) {
-	return TruncatedSVDOpts(op, rank, Options{})
-}
-
-// TruncatedSVDOpts is TruncatedSVD with solver options: Options.StartU /
-// StartV seed the internal Gram-operator subspace iteration from a
-// previous decomposition's factors (the solver picks StartV when
-// rows ≥ cols, StartU otherwise), so a re-solve of a drifted matrix — the
-// warm-refresh path of the incremental-update engine — converges in a
-// sweep or two instead of from scratch.
-func TruncatedSVDOpts(op Op, rank int, o Options) (*SVDResult, error) {
+func TruncatedSVD(op Op, rank int, o Options) (*SVDResult, error) {
 	m, n := op.Dims()
 	minDim := m
 	if n < minDim {
@@ -438,7 +427,7 @@ func TruncatedSVDOpts(op Op, rank int, o Options) (*SVDResult, error) {
 		return nil, fmt.Errorf("eig: TruncatedSVD: rank %d out of range for %dx%d", rank, m, n)
 	}
 	if m >= n {
-		vals, v, err := TruncatedSymEigOpts(NewGramOp(op), rank, Options{Start: o.StartV, Sweeps: o.Sweeps})
+		vals, v, err := TruncatedSymEig(NewGramOp(op), rank, Options{Start: o.StartV, Sweeps: o.Sweeps})
 		if err != nil {
 			return nil, err
 		}
@@ -449,7 +438,7 @@ func TruncatedSVDOpts(op Op, rank int, o Options) (*SVDResult, error) {
 		canonicalizeSVDSigns(u, v)
 		return &SVDResult{U: u, S: s, V: v}, nil
 	}
-	vals, u, err := TruncatedSymEigOpts(NewCoGramOp(op), rank, Options{Start: o.StartU, Sweeps: o.Sweeps})
+	vals, u, err := TruncatedSymEig(NewCoGramOp(op), rank, Options{Start: o.StartU, Sweeps: o.Sweeps})
 	if err != nil {
 		return nil, err
 	}
@@ -570,56 +559,50 @@ func sqrtClampedVals(vals []float64) []float64 {
 	return out
 }
 
-// SVDWith is the solver-routed thin SVD of a dense matrix, truncated to
-// rank: the truncated subspace solver when the routing selects it, the
-// full Golub-Reinsch decomposition otherwise, and a silent full-solver
-// fallback when the truncated iteration reports ErrNoConvergence (flat
-// spectrum, or the signed-top certificate failed on an indefinite
-// operator). The result always has exactly rank columns and is fully
-// owned by the caller. This is the single place the
-// try-truncated-fall-back-to-full policy lives for dense SVDs; SymEigWith
-// is its symmetric counterpart.
-func SVDWith(a *matrix.Dense, rank int, solver Solver) (*SVDResult, error) {
-	minDim := a.Rows
-	if a.Cols < minDim {
-		minDim = a.Cols
-	}
+// RoutedSVD is the solver-routed thin SVD of op truncated to rank, and
+// the one place the try-truncated-then-full policy lives for SVDs: when
+// solver routes rank to the truncated path (Solver.UseTruncated) it runs
+// TruncatedSVD with o, and when that is not routed or returns
+// ErrNoConvergence (a flat spectrum) it runs the full Golub-Reinsch SVD
+// on dense() and truncates it. dense is called only on that full path,
+// so a sparse caller densifies only when it must. A rank <= 0 or above
+// min(rows, cols) means min(rows, cols). The result has exactly rank
+// columns and is fully owned by the caller.
+func RoutedSVD(op Op, rank int, solver Solver, o Options, dense func() *matrix.Dense) (*SVDResult, error) {
+	m, n := op.Dims()
+	minDim := min(m, n)
 	if rank <= 0 || rank > minDim {
 		rank = minDim
 	}
 	if solver.UseTruncated(rank, minDim) {
-		res, err := TruncatedSVD(NewDenseOp(a), rank)
-		if err == nil {
-			return res, nil
-		}
-		if err != ErrNoConvergence {
-			return nil, err
+		if res, err := TruncatedSVD(op, rank, o); err != ErrNoConvergence {
+			return res, err
 		}
 	}
-	res, err := SVD(a)
+	res, err := SVD(dense())
 	if err != nil {
 		return nil, err
 	}
 	return res.Truncate(rank), nil
 }
 
-// SymEigWith is the solver-routed symmetric eigen-decomposition of a
-// dense matrix, truncated to the rank leading (algebraically largest)
-// pairs, with the same fallback policy as SVDWith.
-func SymEigWith(a *matrix.Dense, rank int, solver Solver) (vals []float64, vecs *matrix.Dense, err error) {
-	if rank <= 0 || rank > a.Rows {
-		rank = a.Rows
+// RoutedSymEig is RoutedSVD's symmetric counterpart: the rank leading
+// (algebraically largest) eigenpairs of op, from TruncatedSymEig when
+// routed and converged — the signed-top certificate also reports
+// ErrNoConvergence on an indefinite operator whose negative spectrum
+// would make truncation unsound — and otherwise from the full SymEig of
+// dense(), called only on that path.
+func RoutedSymEig(op SymOp, rank int, solver Solver, o Options, dense func() *matrix.Dense) (vals []float64, vecs *matrix.Dense, err error) {
+	n := op.Dim()
+	if rank <= 0 || rank > n {
+		rank = n
 	}
-	if solver.UseTruncated(rank, a.Rows) {
-		vals, vecs, err = TruncatedSymEig(NewDenseSymOp(a), rank)
-		if err == nil {
-			return vals, vecs, nil
-		}
-		if err != ErrNoConvergence {
-			return nil, nil, err
+	if solver.UseTruncated(rank, n) {
+		if vals, vecs, err = TruncatedSymEig(op, rank, o); err != ErrNoConvergence {
+			return vals, vecs, err
 		}
 	}
-	vals, vecs, err = SymEig(a)
+	vals, vecs, err = SymEig(dense())
 	if err != nil {
 		return nil, nil, err
 	}

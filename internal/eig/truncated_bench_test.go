@@ -49,7 +49,7 @@ func BenchmarkTruncatedSymEig(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d/r=20", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := TruncatedSymEig(op, 20); err != nil {
+				if _, _, err := TruncatedSymEig(op, 20, Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -94,7 +94,7 @@ func BenchmarkTruncatedSVD(b *testing.B) {
 		b.Run(fmt.Sprintf("64x%d/r=20", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := TruncatedSVD(op, 20); err != nil {
+				if _, err := TruncatedSVD(op, 20, Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -142,7 +142,7 @@ func BenchmarkTruncatedSVDSparseFixedNNZ(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d/nnz=%d/r=20", n, gotNNZ), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := TruncatedSVD(op, 20); err != nil {
+				if _, err := TruncatedSVD(op, 20, Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -83,7 +83,7 @@ func TestTruncatedSymEigAgreesWithFull(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, rank := range []int{1, 7, n} {
-				vals, vecs, err := TruncatedSymEig(NewDenseSymOp(gram), rank)
+				vals, vecs, err := TruncatedSymEig(NewDenseSymOp(gram), rank, Options{})
 				if err != nil {
 					t.Fatalf("density %g shape %v rank %d: %v", density, shape, rank, err)
 				}
@@ -141,7 +141,7 @@ func TestTruncatedSVDAgreesWithFull(t *testing.T) {
 				minDim = shape[1]
 			}
 			for _, rank := range []int{1, 7, minDim} {
-				res, err := TruncatedSVD(NewDenseOp(a), rank)
+				res, err := TruncatedSVD(NewDenseOp(a), rank, Options{})
 				if err != nil {
 					t.Fatalf("density %g shape %v rank %d: %v", density, shape, rank, err)
 				}
@@ -206,18 +206,18 @@ func TestTruncatedBitwiseAcrossWorkerCounts(t *testing.T) {
 	var serialSVD *SVDResult
 	withWorkers(1, func() {
 		var err error
-		serialVals, serialVecs, err = TruncatedSymEig(NewDenseSymOp(gram), 12)
+		serialVals, serialVecs, err = TruncatedSymEig(NewDenseSymOp(gram), 12, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		serialSVD, err = TruncatedSVD(NewDenseOp(a), 12)
+		serialSVD, err = TruncatedSVD(NewDenseOp(a), 12, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 	})
 	for _, w := range []int{3, 8} {
 		withWorkers(w, func() {
-			vals, vecs, err := TruncatedSymEig(NewDenseSymOp(gram), 12)
+			vals, vecs, err := TruncatedSymEig(NewDenseSymOp(gram), 12, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -231,7 +231,7 @@ func TestTruncatedBitwiseAcrossWorkerCounts(t *testing.T) {
 					t.Fatalf("workers=%d: eigenvector element %d differs bitwise", w, i)
 				}
 			}
-			res, err := TruncatedSVD(NewDenseOp(a), 12)
+			res, err := TruncatedSVD(NewDenseOp(a), 12, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -300,7 +300,7 @@ func TestTruncatedSymEigRankDeficient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals, vecs, err := TruncatedSymEig(NewDenseSymOp(low), 5)
+	vals, vecs, err := TruncatedSymEig(NewDenseSymOp(low), 5, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestTruncatedSymEigRankDeficient(t *testing.T) {
 	}
 
 	zero := matrix.New(40, 40)
-	vals, vecs, err = TruncatedSymEig(NewDenseSymOp(zero), 3)
+	vals, vecs, err = TruncatedSymEig(NewDenseSymOp(zero), 3, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func TestTruncatedSymEigIndefiniteCertificate(t *testing.T) {
 		d[i] = -60 - float64(i)
 	}
 	a := matrix.Diag(d)
-	vals, _, err := TruncatedSymEig(NewDenseSymOp(a), 2)
+	vals, _, err := TruncatedSymEig(NewDenseSymOp(a), 2, Options{})
 	if err == nil {
 		// A success is only acceptable if it found the true top pairs.
 		if math.Abs(vals[0]-3) > 1e-9 || math.Abs(vals[1]-2.5) > 1e-9 {
@@ -354,26 +354,26 @@ func TestTruncatedSymEigIndefiniteCertificate(t *testing.T) {
 	} else if err != ErrNoConvergence {
 		t.Fatalf("unexpected error: %v", err)
 	}
-	// The solver-routed wrapper must deliver the right answer either way.
-	wVals, _, err := SymEigWith(a, 2, SolverTruncated)
+	// The router must deliver the right answer either way.
+	wVals, _, err := RoutedSymEig(NewDenseSymOp(a), 2, SolverTruncated, Options{}, func() *matrix.Dense { return a })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(wVals[0]-3) > 1e-9 || math.Abs(wVals[1]-2.5) > 1e-9 {
-		t.Fatalf("SymEigWith returned wrong top pairs on indefinite spectrum: %v", wVals)
+		t.Fatalf("RoutedSymEig returned wrong top pairs on indefinite spectrum: %v", wVals)
 	}
 }
 
 // TestTruncatedSymEigBadRank covers the argument validation.
 func TestTruncatedSymEigBadRank(t *testing.T) {
 	a := matrix.Identity(5)
-	if _, _, err := TruncatedSymEig(NewDenseSymOp(a), 0); err == nil {
+	if _, _, err := TruncatedSymEig(NewDenseSymOp(a), 0, Options{}); err == nil {
 		t.Error("rank 0 accepted")
 	}
-	if _, _, err := TruncatedSymEig(NewDenseSymOp(a), 6); err == nil {
+	if _, _, err := TruncatedSymEig(NewDenseSymOp(a), 6, Options{}); err == nil {
 		t.Error("rank > n accepted")
 	}
-	if _, err := TruncatedSVD(NewDenseOp(a), -1); err == nil {
+	if _, err := TruncatedSVD(NewDenseOp(a), -1, Options{}); err == nil {
 		t.Error("negative rank accepted")
 	}
 }
@@ -407,6 +407,55 @@ func TestSolverParse(t *testing.T) {
 	}
 	if !SolverTruncated.UseTruncated(100, 101) {
 		t.Error("truncated must always truncate")
+	}
+}
+
+// TestRoutedSVDDensifiesOnlyOnFullPath checks the router's three
+// branches: a converged truncated solve never calls the dense callback,
+// while a full route and a truncated attempt that gives up (a flat
+// uniform spectrum) call it exactly once and return the full solver's
+// truncated SVD bit for bit.
+func TestRoutedSVDDensifiesOnlyOnFullPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	decaying := matrix.MulT(randDense(rng, 200, 6), randDense(rng, 120, 6))
+	flat := matrix.New(200, 120)
+	for i := range flat.Data {
+		flat.Data[i] = rng.Float64()
+	}
+	for _, tc := range []struct {
+		name   string
+		a      *matrix.Dense
+		solver Solver
+		full   bool
+	}{
+		{"decaying/auto", decaying, SolverAuto, false},
+		{"decaying/full", decaying, SolverFull, true},
+		{"flat/auto", flat, SolverAuto, true},
+	} {
+		calls := 0
+		res, err := RoutedSVD(NewDenseOp(tc.a), 6, tc.solver, Options{}, func() *matrix.Dense {
+			calls++
+			return tc.a
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !tc.full {
+			if calls != 0 {
+				t.Fatalf("%s: dense callback ran %d times on a converged truncated solve", tc.name, calls)
+			}
+			continue
+		}
+		if calls != 1 {
+			t.Fatalf("%s: dense callback ran %d times, want 1", tc.name, calls)
+		}
+		ref, err := SVD(tc.a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if svdDigest(res) != svdDigest(ref.Truncate(6)) {
+			t.Errorf("%s: routed result differs from the full SVD truncated to rank 6", tc.name)
+		}
 	}
 }
 

@@ -36,7 +36,7 @@ func TestWarmStartFewerSweeps(t *testing.T) {
 	op := NewDenseSymOp(a)
 
 	var coldSweeps int
-	vals, vecs, err := TruncatedSymEigOpts(op, rank, Options{Sweeps: &coldSweeps})
+	vals, vecs, err := TruncatedSymEig(op, rank, Options{Sweeps: &coldSweeps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +55,11 @@ func TestWarmStartFewerSweeps(t *testing.T) {
 	dop := NewDenseSymOp(drift)
 
 	var coldDriftSweeps, warmSweeps int
-	coldVals, _, err := TruncatedSymEigOpts(dop, rank, Options{Sweeps: &coldDriftSweeps})
+	coldVals, _, err := TruncatedSymEig(dop, rank, Options{Sweeps: &coldDriftSweeps})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmVals, _, err := TruncatedSymEigOpts(dop, rank, Options{Start: vecs, Sweeps: &warmSweeps})
+	warmVals, _, err := TruncatedSymEig(dop, rank, Options{Start: vecs, Sweeps: &warmSweeps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestWarmStartFewerSweeps(t *testing.T) {
 	_ = vals
 }
 
-// TestWarmStartSVD seeds TruncatedSVDOpts from a previous decomposition
+// TestWarmStartSVD seeds TruncatedSVD from a previous decomposition
 // of a drifted matrix, for both orientations (tall routes through StartV,
 // wide through StartU).
 func TestWarmStartSVD(t *testing.T) {
@@ -104,7 +104,7 @@ func TestWarmStartSVD(t *testing.T) {
 		}
 		a := matrix.Mul(x, y)
 		rank := 5
-		prev, err := TruncatedSVD(NewDenseOp(a), rank)
+		prev, err := TruncatedSVD(NewDenseOp(a), rank, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,11 +112,11 @@ func TestWarmStartSVD(t *testing.T) {
 			a.Data[i] += 1e-5 * rng.NormFloat64()
 		}
 		var coldSweeps, warmSweeps int
-		cold, err := TruncatedSVDOpts(NewDenseOp(a), rank, Options{Sweeps: &coldSweeps})
+		cold, err := TruncatedSVD(NewDenseOp(a), rank, Options{Sweeps: &coldSweeps})
 		if err != nil {
 			t.Fatal(err)
 		}
-		warm, err := TruncatedSVDOpts(NewDenseOp(a), rank, Options{StartU: prev.U, StartV: prev.V, Sweeps: &warmSweeps})
+		warm, err := TruncatedSVD(NewDenseOp(a), rank, Options{StartU: prev.U, StartV: prev.V, Sweeps: &warmSweeps})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +146,7 @@ func TestWarmStartDeterministic(t *testing.T) {
 	var refVecs *matrix.Dense
 	for _, w := range []int{1, 3, 8} {
 		parallel.SetWorkers(w)
-		vals, vecs, err := TruncatedSymEigOpts(NewDenseSymOp(a), rank, Options{Start: start})
+		vals, vecs, err := TruncatedSymEig(NewDenseSymOp(a), rank, Options{Start: start})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +172,7 @@ func TestWarmStartDeterministic(t *testing.T) {
 func TestWarmStartBadDims(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	a := decayingSym(40, rng)
-	if _, _, err := TruncatedSymEigOpts(NewDenseSymOp(a), 4, Options{Start: matrix.New(39, 4)}); err == nil {
+	if _, _, err := TruncatedSymEig(NewDenseSymOp(a), 4, Options{Start: matrix.New(39, 4)}); err == nil {
 		t.Error("mismatched start block accepted")
 	}
 }
@@ -188,11 +188,11 @@ func TestWarmStartExtraColumns(t *testing.T) {
 	for i := range wide.Data {
 		wide.Data[i] = rng.NormFloat64()
 	}
-	vals, _, err := TruncatedSymEigOpts(NewDenseSymOp(a), rank, Options{Start: wide})
+	vals, _, err := TruncatedSymEig(NewDenseSymOp(a), rank, Options{Start: wide})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, _, err := TruncatedSymEig(NewDenseSymOp(a), rank)
+	ref, _, err := TruncatedSymEig(NewDenseSymOp(a), rank, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@
 // update is exact up to rounding. Otherwise each truncation discards
 // singular mass; the per-update Discarded return value measures it, and
 // the engine in internal/core accumulates it against a residual budget
-// to schedule warm-started full refreshes (eig.TruncatedSVDOpts with
+// to schedule warm-started full refreshes (eig.RoutedSVD with
 // Options.StartU/StartV).
 //
 //ivmf:deterministic

@@ -29,7 +29,6 @@ import (
 	"repro/internal/eig"
 	"repro/internal/imatrix"
 	"repro/internal/interval"
-	"repro/internal/ipca"
 	"repro/internal/ipmf"
 	"repro/internal/lp"
 	"repro/internal/matrix"
@@ -273,18 +272,6 @@ func ParseTarget(s string) (Target, error) { return core.ParseTarget(s) }
 // ValidateInput checks that an interval matrix has finite, well-ordered
 // endpoints (the precondition of Decompose).
 func ValidateInput(m *IntervalMatrix) error { return core.ValidateInput(m) }
-
-// PCAResult is the output of the interval PCA baselines.
-type PCAResult = ipca.Result
-
-// PCACenters runs the Centers interval PCA (PCA of the interval
-// midpoints with exact interval projections of the data boxes) — the
-// classical related-work baseline of Section 2.3 of the paper.
-func PCACenters(m *IntervalMatrix, rank int) (*PCAResult, error) { return ipca.Centers(m, rank) }
-
-// PCAVertices runs the Vertices interval PCA (moment-matching
-// approximation accounting for the interval widths in the covariance).
-func PCAVertices(m *IntervalMatrix, rank int) (*PCAResult, error) { return ipca.Vertices(m, rank) }
 
 // Recommender predicts ratings from a low-rank interval reconstruction
 // (the reconstruction-based prediction of Section 6.5 of the paper).

@@ -118,31 +118,6 @@ func TestPublicAccuracyHelper(t *testing.T) {
 	}
 }
 
-func TestPublicAPIPCA(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	m := ivmf.NewIntervalMatrix(20, 4)
-	for i := 0; i < 20; i++ {
-		for j := 0; j < 4; j++ {
-			v := rng.NormFloat64()
-			m.Set(i, j, ivmf.Interval{Lo: v - 0.1, Hi: v + 0.1})
-		}
-	}
-	c, err := ivmf.PCACenters(m, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Scores.Rows() != 20 || c.Scores.Cols() != 2 {
-		t.Fatal("PCA score shape wrong")
-	}
-	v, err := ivmf.PCAVertices(m, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Variances[0] < c.Variances[0] {
-		t.Fatal("Vertices variance below Centers")
-	}
-}
-
 func TestPublicAPIRecommender(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	m := ivmf.NewIntervalMatrix(15, 6)

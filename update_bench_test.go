@@ -153,7 +153,7 @@ func BenchmarkUpdateWarmRefresh(b *testing.B) {
 func BenchmarkWarmStartTruncatedSVD(b *testing.B) {
 	for _, n := range []int{512, 1024} {
 		m := benchStreamMatrix(n, benchUpdateNNZ)
-		prev, err := eig.TruncatedSVD(sparse.NewOperator(m.LoCSR()), 20)
+		prev, err := eig.TruncatedSVD(sparse.NewOperator(m.LoCSR()), 20, eig.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -167,7 +167,7 @@ func BenchmarkWarmStartTruncatedSVD(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d/r=20/cold", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := eig.TruncatedSVD(op, 20); err != nil {
+				if _, err := eig.TruncatedSVD(op, 20, eig.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -175,7 +175,7 @@ func BenchmarkWarmStartTruncatedSVD(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d/r=20/warm", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := eig.TruncatedSVDOpts(op, 20, eig.Options{StartU: prev.U, StartV: prev.V}); err != nil {
+				if _, err := eig.TruncatedSVD(op, 20, eig.Options{StartU: prev.U, StartV: prev.V}); err != nil {
 					b.Fatal(err)
 				}
 			}
