@@ -3,10 +3,16 @@
 // the truncated factors (U, Σ, V) of a matrix A, an arriving batch —
 // appended rows, appended columns, or a sparse additive cell patch — is
 // folded into the factors without ever re-decomposing A. Each batch
-// costs O((m+n)·r·c + (r+c)³) for batch rank c against the O(NNZ·r) per
-// sweep (times many sweeps) of a from-scratch truncated solve, which is
-// what converts a streaming service's per-update cost from "size of the
-// dataset" to "size of the delta".
+// costs O((m+n)·(r+c)·c + (r+c)³) for batch rank c against the O(NNZ·r)
+// per sweep (times many sweeps) of a from-scratch truncated solve,
+// which is what converts a streaming service's per-update cost from
+// "size of the dataset" to "size of the delta". A scattered cell patch
+// wider than r+k (k = rank + 8) is compressed instead (sketch.go): a
+// sketch of the patch against the current left factors and a seeded
+// Gaussian block extends the right basis by k directions, the left
+// basis is extended exactly on the extended right basis, and the step
+// costs O(nnz·(r+k) + (m+n)·(r+k)² + (r+k)³) whatever the patch width;
+// the mass outside the sketch is charged to the Discarded return value.
 //
 // The mechanics are the classical three steps: (1) project the batch
 // onto the existing factors and extract the out-of-subspace component
@@ -167,6 +173,9 @@ func LowRank(f *eig.SVDResult, p, q *matrix.Dense, rank int) (*eig.SVDResult, fl
 // Duplicate cells and out-of-range indices are errors. The patch is
 // factored as p·qᵀ over its distinct rows or distinct columns, whichever
 // is fewer, so the batch rank c is min(#rows touched, #cols touched).
+// When c exceeds r+k (k = max(rank, r) + sketchOversample) the exact
+// step would build the larger core, and the patch takes the compressed
+// step of sketchedPatch instead.
 func CellPatch(f *eig.SVDResult, patch []sparse.Triplet, rank int) (*eig.SVDResult, float64, error) {
 	m, n := f.U.Rows, f.V.Rows
 	if len(patch) == 0 {
@@ -198,6 +207,12 @@ func CellPatch(f *eig.SVDResult, patch []sparse.Triplet, rank int) (*eig.SVDResu
 		if _, ok := colSet[t.Col]; !ok {
 			colSet[t.Col] = len(colSet)
 		}
+	}
+	// A patch wider than the sketched core takes the compressed step;
+	// narrower ones keep the exact factorization below.
+	r := len(f.S)
+	if k := max(rank, r) + sketchOversample; min(len(rowSet), len(colSet)) > r+k {
+		return sketchedPatch(f, sorted, rank, k)
 	}
 	// Group on the smaller side: by rows, p's columns are row indicators
 	// and q carries the per-row delta values; by columns, symmetrically.
@@ -352,13 +367,19 @@ func gsRowsInPlace(q *matrix.Dense) (r *matrix.Dense) {
 // as ~√eps·σmax garbage.
 const coreGramTol = 1e-12
 
-// coreSVD decomposes the small (r+c)×(r+c) core matrix k through the
+// coreSVD decomposes the small core matrix k (square (r+c)×(r+c) for
+// the exact steps, (2r+k)×(r+k) for the sketched one) through the
 // existing dense eig.SymEig — the eigensolver of KᵀK yields the right
 // factor and singular values, and one small product recovers the left
 // factor (K·Vk·Σ⁻¹, zero columns for zero singular values, the recoverU
 // convention of internal/core). Returns the rank-truncated factors and
 // the Frobenius mass of the discarded singular values.
 func coreSVD(k *matrix.Dense, rank int) (uk *matrix.Dense, s []float64, vk *matrix.Dense, discarded float64, err error) {
+	if !k.IsFinite() {
+		// A NaN or Inf in the factors or the batch reaches every core
+		// entry; the eigensolver would only spin to non-convergence.
+		return nil, nil, nil, 0, fmt.Errorf("update: core matrix: %w", ErrNonFinite)
+	}
 	g := matrix.TMul(k, k)
 	vals, vecs, err := eig.SymEig(g)
 	if err != nil {
@@ -378,7 +399,7 @@ func coreSVD(k *matrix.Dense, rank int) (uk *matrix.Dense, s []float64, vk *matr
 			s[i] = math.Sqrt(ev)
 		}
 	}
-	vk = vecs.SubMatrix(0, k.Rows, 0, rank)
+	vk = vecs.SubMatrix(0, k.Cols, 0, rank)
 	uk = matrix.Mul(k, vk)
 	for j, sv := range s {
 		inv := 0.0

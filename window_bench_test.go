@@ -16,6 +16,7 @@ package ivmf_test
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/core"
@@ -160,6 +161,68 @@ func BenchmarkWindowReplay(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkWindowScatter is one slide of a window whose churn is
+// scattered, the window-churn serving shape: arrivals at random unstored
+// cells plus as many tombstones of random stored cells. Unlike
+// BenchmarkWindowReplay's whole-row churn, every cell lands in its own
+// row and column, so each Brand step is a wide patch (batch rank well
+// above the kept rank) and takes the sketched step.
+func BenchmarkWindowScatter(b *testing.B) {
+	for _, n := range []int{512, 1024} {
+		m := benchStreamMatrix(n, benchUpdateNNZ)
+		d, err := core.DecomposeSparse(m, core.ISVD4, benchUpdateOpts())
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, frac := range []float64{0.003, 0.01} {
+			delta := scatterSlide(m, int(float64(m.NNZ())*frac), rand.New(rand.NewSource(int64(n))))
+			b.Run(fmt.Sprintf("n=%d/r=20/churn=%g%%", n, frac*100), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					d2, err := d.Update(delta, core.Options{RefreshBudget: math.Inf(1)})
+					if err != nil {
+						b.Fatal(err)
+					}
+					mustStayAdditive(b, d2)
+				}
+			})
+		}
+	}
+}
+
+// scatterSlide draws churn arrivals at distinct random unstored cells,
+// each taking the value of a random stored cell, and churn tombstones
+// of distinct random stored cells.
+func scatterSlide(m *sparse.ICSR, churn int, rng *rand.Rand) core.Delta {
+	type cell struct {
+		c      sparse.Cell
+		lo, hi float64
+	}
+	var stored []cell
+	isStored := map[sparse.Cell]bool{}
+	m.ForEachRow(func(i int, cols []int, lo, hi []float64) {
+		for p, j := range cols {
+			c := sparse.Cell{Row: i, Col: j}
+			stored = append(stored, cell{c, lo[p], hi[p]})
+			isStored[c] = true
+		}
+	})
+	var delta core.Delta
+	for _, k := range rng.Perm(len(stored))[:churn] {
+		delta.Unpatch = append(delta.Unpatch, stored[k].c)
+	}
+	for len(delta.Patch) < churn {
+		c := sparse.Cell{Row: rng.Intn(m.Rows), Col: rng.Intn(m.Cols)}
+		if isStored[c] {
+			continue
+		}
+		isStored[c] = true
+		v := stored[rng.Intn(len(stored))]
+		delta.Patch = append(delta.Patch, sparse.ITriplet{Row: c.Row, Col: c.Col, Lo: v.lo, Hi: v.hi})
+	}
+	return delta
 }
 
 // rowBatchFrom is rowBatch walking rows from a given start in a given
