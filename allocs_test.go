@@ -154,3 +154,40 @@ func TestTallSVDAllocationBudget(t *testing.T) {
 		t.Fatalf("tall SVD allocated %.0f bytes/run, want <= 250000 (one working copy, transposed back in place)", b)
 	}
 }
+
+// TestWindowSlideAllocationBudget guards the bytes one scattered window
+// slide allocates — BenchmarkWindowScatter's n=512 shape at 1% churn,
+// pinned to one worker. Its arrivals and tombstones are both wide, so
+// each endpoint side takes one signed sketched Brand step (~9.4 MB for
+// the whole update); the two sketched steps per side it took before
+// allocated ~18.5 MB. The budget sits between the two.
+func TestWindowSlideAllocationBudget(t *testing.T) {
+	m := benchStreamMatrix(512, benchUpdateNNZ)
+	parallel.SetWorkers(1)
+	defer parallel.SetWorkers(0)
+	d, err := core.DecomposeSparse(m, core.ISVD4, benchUpdateOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta := scatterSlide(m, int(float64(m.NNZ())*0.01), rand.New(rand.NewSource(512)))
+	never := core.Options{RefreshBudget: math.Inf(1)}
+	if _, err := d.Update(delta, never); err != nil { // warm the runtime
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d2, err := d.Update(delta, never)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := d2.Health(); h.LastEscalation != "" {
+		t.Fatalf("slide escalated (%s); the figure would not measure the additive step", h.LastEscalationReason)
+	}
+	const budget = 13 << 20
+	if b := after.TotalAlloc - before.TotalAlloc; b > budget {
+		t.Fatalf("one scattered slide allocated %d bytes, want <= %d (one signed sketched step per side)", b, budget)
+	} else {
+		t.Logf("one scattered slide allocated %d bytes", b)
+	}
+}

@@ -1,13 +1,17 @@
 package core
 
 import (
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
+	"repro/internal/eig"
 	"repro/internal/parallel"
 	"repro/internal/sparse"
+	"repro/internal/update"
 )
 
 // scatterWindowChain returns a decaying non-negative 200×200 base and a
@@ -16,9 +20,9 @@ import (
 // tail cells (FIFO), and every 4th also forgets with λ = 0.95. Tail
 // cells are the smaller half of the stored values, and arrivals draw
 // their values from them, so the chain churns the spectrum's tail the
-// way a served window does. Every patch touches far more distinct rows
-// and columns than rank 8 + the sketch width, so every Brand step is a
-// sketched one.
+// way a served window does. Both halves of every slide touch far more
+// distinct rows and columns than rank 8 + the sketch width, so every
+// slide folds into one signed sketched Brand step per side.
 func scatterWindowChain(steps, churn int) (*sparse.ICSR, []Delta) {
 	rng := rand.New(rand.NewSource(151))
 	m := sparseDecayICSR(rng, 200, 200, 0.05)
@@ -66,10 +70,10 @@ func scatterWindowChain(steps, churn int) (*sparse.ICSR, []Delta) {
 }
 
 // TestSketchedWindowChain runs an ISVD4 window through 30 scattered
-// slides on the sketched Brand step: it must never redecompose, keep the
-// factors orthonormal to 1e-9, agree with a cold decompose of the window
-// after a forced refresh, and publish bitwise-identical updates at 1 and
-// 3 workers.
+// slides, each one signed sketched Brand step per side: it must never
+// redecompose, keep the factors orthonormal to 1e-9, agree with a cold
+// decompose of the window after a forced refresh, and publish
+// bitwise-identical updates at 1 and 3 workers.
 func TestSketchedWindowChain(t *testing.T) {
 	defer parallel.SetWorkers(0)
 	const steps, churn = 30, 60
@@ -81,6 +85,15 @@ func TestSketchedWindowChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, delta := range deltas {
+		// Both halves of every slide are wide on both sides, so each
+		// takes one signed sketched step per side.
+		_, arrive, expire, err := cellDeltas(d.state.m, delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slideMerges(d.state.mid, d.state.lo, d.state.hi, arrive, expire, opts.Rank) {
+			t.Fatalf("step %d does not take the merged step", i)
+		}
 		if d, err = d.Update(delta, Options{}); err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
@@ -122,4 +135,126 @@ func TestSketchedWindowChain(t *testing.T) {
 			t.Fatalf("chain digest %#x at %d workers, %#x at 1", got, w, ref)
 		}
 	}
+}
+
+// slideBy replays the additive path of Update for a cell-only delta
+// with the given per-side cell step: the per-side cell deltas, the step
+// on each endpoint state, and the pipeline re-run from the stepped
+// states.
+func slideBy(t *testing.T, d *Decomposition, delta Delta,
+	step func(f *eig.SVDResult, arrive, expire []sparse.Triplet) (*eig.SVDResult, float64, error)) *Decomposition {
+	t.Helper()
+	st := d.state
+	next, arrive, expire, err := cellDeltas(st.m, delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, _, err := step(st.lo, arrive[sideLo], expire[sideLo])
+	if err != nil {
+		t.Fatal(err)
+	}
+	hi, _, err := step(st.hi, arrive[sideHi], expire[sideHi])
+	if err != nil {
+		t.Fatal(err)
+	}
+	d2, err := decompose(updateOperand{m: next, lo: lo, hi: hi}, d.Method, st.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d2
+}
+
+// TestSketchedSlideMergesWideHalves pins which Brand steps a window
+// slide takes. When both halves are wide on both sides, Update folds
+// them into one signed step (update.CellSlide) per side — bitwise the
+// merged replay, not the two-step one. When either half is narrow it
+// keeps the two steps, CellPatch then CellUnpatch, bit for bit.
+func TestSketchedSlideMergesWideHalves(t *testing.T) {
+	const rank = 8
+	sp, deltas := scatterWindowChain(1, 60)
+	d, err := DecomposeSparse(sp, ISVD4, Options{Rank: rank, Target: TargetB, Updatable: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged := func(f *eig.SVDResult, arrive, expire []sparse.Triplet) (*eig.SVDResult, float64, error) {
+		return update.CellSlide(f, arrive, expire, rank)
+	}
+	twoStep := func(f *eig.SVDResult, arrive, expire []sparse.Triplet) (*eig.SVDResult, float64, error) {
+		mid, _, err := update.CellPatch(f, arrive, rank)
+		if err != nil {
+			return nil, 0, err
+		}
+		return update.CellUnpatch(mid, expire, rank)
+	}
+	never := Options{RefreshBudget: math.Inf(1)}
+
+	wide := deltas[0]
+	got, err := d.Update(wide, never)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := got.Health(); h.LastEscalation != "" {
+		t.Fatalf("wide slide escalated: %s", h.LastEscalationReason)
+	}
+	checkDecompBitwise(t, got, slideBy(t, d, wide, merged), "wide slide vs one signed step")
+	if digestOf(got) == digestOf(slideBy(t, d, wide, twoStep)) {
+		t.Fatal("the merged and two-step replays agree bitwise; the test cannot tell them apart")
+	}
+
+	for _, c := range []struct {
+		name  string
+		delta Delta
+	}{
+		{"narrow tombstones", Delta{Patch: wide.Patch, Unpatch: wide.Unpatch[:5]}},
+		{"narrow arrivals", Delta{Patch: wide.Patch[:5], Unpatch: wide.Unpatch}},
+	} {
+		got, err := d.Update(c.delta, never)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkDecompBitwise(t, got, slideBy(t, d, c.delta, twoStep), c.name+" vs CellPatch then CellUnpatch")
+	}
+}
+
+// digestOf hashes a decomposition's published factors.
+func digestOf(d *Decomposition) uint64 {
+	h := fnv.New64a()
+	hashFactors(h, d)
+	return h.Sum64()
+}
+
+// TestSketchedSlideEscalationNamesDrift: a merged slide on factors that
+// already drifted past the downdate tolerance abandons the chain like an
+// ill-conditioned unpatch — a redecompose of the final window — and the
+// logged reason names the merged step and the inherited drift, not a
+// bad downdate.
+func TestSketchedSlideEscalationNamesDrift(t *testing.T) {
+	sp, deltas := scatterWindowChain(1, 60)
+	opts := Options{Rank: 8, Target: TargetB, Updatable: true}
+	d, err := DecomposeSparse(sp, ISVD4, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := d.state.lo.U
+	for i := 0; i < u.Rows; i++ {
+		u.Data[i*u.Cols] *= 1 + 1e-6
+	}
+	got, err := d.Update(deltas[0], Options{RefreshBudget: math.Inf(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := got.Health()
+	if h.Redecomposes != 1 {
+		t.Fatalf("drifted slide: %d redecomposes, want 1", h.Redecomposes)
+	}
+	for _, want := range []string{"slide", "CellSlide", "drifted input"} {
+		if !strings.Contains(h.LastEscalationReason, want) {
+			t.Errorf("escalation reason %q does not name %q", h.LastEscalationReason, want)
+		}
+	}
+	cold, err := DecomposeSparse(got.state.m, ISVD4, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDecompBitwise(t, got, cold, "redecompose after a drifted slide")
 }

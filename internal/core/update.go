@@ -61,7 +61,9 @@ var ErrPoisoned = errors.New("core: update produced non-finite factors")
 // and the removal index sets all address the post-append shape (and the
 // removals run last, so their indices are stable against everything
 // else in the same batch) — the natural sliding-window order: decay old
-// evidence, admit the new slice, then expire the old one.
+// evidence, admit the new slice, then expire the old one. When Patch and
+// Unpatch are both wide (see update.Wide) they fold into one signed
+// Brand step per factor side; the matrix they produce is the same.
 type Delta struct {
 	// Forget, when in (0, 1), is the exponential forgetting factor λ:
 	// the retained singular values and the stored matrix are scaled by
@@ -385,44 +387,10 @@ func (d *Decomposition) Update(delta Delta, opts Options) (*Decomposition, error
 		}
 		m2 = next
 	}
-	if len(delta.Patch) > 0 {
-		// Derive the additive per-side deltas from the currently stored
-		// values (set semantics in, additive factor update out), then
-		// apply the patch to the matrix.
-		next, err := m2.ApplyPatch(delta.Patch)
-		if err != nil {
-			return nil, fmt.Errorf("core: Update: %w", err)
-		}
-		adds := make([][]sparse.Triplet, 3)
-		for _, t := range delta.Patch {
-			if math.IsNaN(t.Lo) || math.IsInf(t.Lo, 0) || math.IsNaN(t.Hi) || math.IsInf(t.Hi, 0) {
-				return nil, fmt.Errorf("core: Update: patch cell (%d, %d) has NaN or Inf endpoints", t.Row, t.Col)
-			}
-			if t.Lo > t.Hi {
-				return nil, fmt.Errorf("core: Update: patch cell (%d, %d) is misordered (lo > hi)", t.Row, t.Col)
-			}
-			old := m2.At(t.Row, t.Col)
-			for side, dv := range [3]float64{
-				sideLo:  t.Lo - old.Lo,
-				sideHi:  t.Hi - old.Hi,
-				sideMid: (t.Lo+t.Hi)/2 - (old.Lo+old.Hi)/2,
-			} {
-				if dv != 0 {
-					adds[side] = append(adds[side], sparse.Triplet{Row: t.Row, Col: t.Col, Val: dv})
-				}
-			}
-		}
-		if err := sideUpdate(func(f *eig.SVDResult, side int) (*eig.SVDResult, float64, error) {
-			return update.CellPatch(f, adds[side], rank)
-		}); err != nil {
-			return nil, fmt.Errorf("core: Update: patch: %w", err)
-		}
-		m2 = next
-	}
-
-	// Downdate stages. An ill-conditioned removal damages the factor
-	// states but not the data, so instead of failing the update the
-	// additive chain is abandoned (dead): the remaining stages apply to
+	// Cell and downdate stages. An ill-conditioned removal (tombstones,
+	// alone or in a merged slide, or whole rows or columns) damages the
+	// factor states but not the data, so instead of failing the update
+	// the additive chain is abandoned (dead): the remaining stages apply to
 	// the matrix only and the update escalates straight to a full
 	// windowed redecompose from the final matrix. This is the
 	// "route through the refresh machinery instead of returning
@@ -446,32 +414,40 @@ func (d *Decomposition) Update(delta Delta, opts Options) (*Decomposition, error
 		}
 		return fmt.Errorf("core: Update: %s: %w", what, err)
 	}
-	if len(delta.Unpatch) > 0 {
-		// Per-side current values first: the factor unpatch subtracts
-		// exactly what the matrix stores (validated by ApplyUnpatch).
-		next, err := m2.ApplyUnpatch(delta.Unpatch)
+
+	if len(delta.Patch) > 0 || len(delta.Unpatch) > 0 {
+		next, arrive, expire, err := cellDeltas(m2, delta)
 		if err != nil {
-			return nil, fmt.Errorf("core: Update: %w", err)
+			return nil, err
 		}
-		cells := make([][]sparse.Triplet, 3)
-		for _, cl := range delta.Unpatch {
-			old := m2.At(cl.Row, cl.Col)
-			for side, v := range [3]float64{
-				sideLo:  old.Lo,
-				sideHi:  old.Hi,
-				sideMid: (old.Lo + old.Hi) / 2,
-			} {
-				if v != 0 {
-					cells[side] = append(cells[side], sparse.Triplet{Row: cl.Row, Col: cl.Col, Val: v})
+		if len(delta.Patch) > 0 && len(delta.Unpatch) > 0 && slideMerges(mid, lo, hi, arrive, expire, rank) {
+			// A wide slide folds both halves into one signed step per
+			// side; it carries the downdate checks, so an ill-conditioned
+			// result abandons the chain like an unpatch.
+			if err := downdate("slide", func() error {
+				return sideUpdate(func(f *eig.SVDResult, side int) (*eig.SVDResult, float64, error) {
+					return update.CellSlide(f, arrive[side], expire[side], rank)
+				})
+			}); err != nil {
+				return nil, err
+			}
+		} else {
+			if len(delta.Patch) > 0 {
+				if err := sideUpdate(func(f *eig.SVDResult, side int) (*eig.SVDResult, float64, error) {
+					return update.CellPatch(f, arrive[side], rank)
+				}); err != nil {
+					return nil, fmt.Errorf("core: Update: patch: %w", err)
 				}
 			}
-		}
-		if err := downdate("unpatch", func() error {
-			return sideUpdate(func(f *eig.SVDResult, side int) (*eig.SVDResult, float64, error) {
-				return update.CellUnpatch(f, cells[side], rank)
-			})
-		}); err != nil {
-			return nil, err
+			if len(delta.Unpatch) > 0 {
+				if err := downdate("unpatch", func() error {
+					return sideUpdate(func(f *eig.SVDResult, side int) (*eig.SVDResult, float64, error) {
+						return update.CellUnpatch(f, expire[side], rank)
+					})
+				}); err != nil {
+					return nil, err
+				}
+			}
 		}
 		m2 = next
 	}
@@ -671,6 +647,74 @@ func (d *Decomposition) Update(delta Delta, opts Options) (*Decomposition, error
 	d2.state.opts.Workers = base.Workers
 	advanceHealth(d2)
 	return d2, nil
+}
+
+// cellDeltas applies the delta's Patch and then its Unpatch to m and
+// returns the result with the per-side factor deltas (indexed by side):
+// the additive arrivals (set semantics in, the change from the stored
+// value out; zero changes omitted) and the tombstones with the values
+// they remove (exactly what the matrix stores, zeros omitted). The two
+// lists address disjoint cells.
+func cellDeltas(m *sparse.ICSR, delta Delta) (next *sparse.ICSR, arrive, expire [3][]sparse.Triplet, err error) {
+	next = m
+	if len(delta.Patch) > 0 {
+		if next, err = m.ApplyPatch(delta.Patch); err != nil {
+			return nil, arrive, expire, fmt.Errorf("core: Update: %w", err)
+		}
+		for _, t := range delta.Patch {
+			if math.IsNaN(t.Lo) || math.IsInf(t.Lo, 0) || math.IsNaN(t.Hi) || math.IsInf(t.Hi, 0) {
+				return nil, arrive, expire, fmt.Errorf("core: Update: patch cell (%d, %d) has NaN or Inf endpoints", t.Row, t.Col)
+			}
+			if t.Lo > t.Hi {
+				return nil, arrive, expire, fmt.Errorf("core: Update: patch cell (%d, %d) is misordered (lo > hi)", t.Row, t.Col)
+			}
+			old := m.At(t.Row, t.Col)
+			for side, dv := range [3]float64{
+				sideLo:  t.Lo - old.Lo,
+				sideHi:  t.Hi - old.Hi,
+				sideMid: (t.Lo+t.Hi)/2 - (old.Lo+old.Hi)/2,
+			} {
+				if dv != 0 {
+					arrive[side] = append(arrive[side], sparse.Triplet{Row: t.Row, Col: t.Col, Val: dv})
+				}
+			}
+		}
+	}
+	if len(delta.Unpatch) > 0 {
+		// ApplyUnpatch validates that every tombstoned cell is stored.
+		patched := next
+		if next, err = patched.ApplyUnpatch(delta.Unpatch); err != nil {
+			return nil, arrive, expire, fmt.Errorf("core: Update: %w", err)
+		}
+		for _, cl := range delta.Unpatch {
+			old := patched.At(cl.Row, cl.Col)
+			for side, v := range [3]float64{
+				sideLo:  old.Lo,
+				sideHi:  old.Hi,
+				sideMid: (old.Lo + old.Hi) / 2,
+			} {
+				if v != 0 {
+					expire[side] = append(expire[side], sparse.Triplet{Row: cl.Row, Col: cl.Col, Val: v})
+				}
+			}
+		}
+	}
+	return next, arrive, expire, nil
+}
+
+// slideMerges reports whether a slide's arrivals and tombstones fold
+// into one signed Brand step per side: only when, on every maintained
+// side, both halves would take the compressed step on their own. Every
+// other slide — narrow patches, arrivals without expiries — keeps the
+// two steps bit for bit.
+func slideMerges(mid, lo, hi *eig.SVDResult, arrive, expire [3][]sparse.Triplet, rank int) bool {
+	wide := func(f *eig.SVDResult, side int) bool {
+		return update.Wide(f, arrive[side], rank) && update.Wide(f, expire[side], rank)
+	}
+	if mid != nil {
+		return wide(mid, sideMid)
+	}
+	return wide(lo, sideLo) && wide(hi, sideHi)
 }
 
 // validateDelta rejects deltas the maintained factor states cannot

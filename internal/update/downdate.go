@@ -53,19 +53,40 @@ var ErrNonFinite = errors.New("update: non-finite factor entry")
 // IllConditionedError carries the downdate health measurements that
 // tripped; it unwraps to ErrIllConditioned.
 type IllConditionedError struct {
-	Op            string  // "RemoveRows", "RemoveCols", "CellUnpatch"
+	Op            string  // "RemoveRows", "RemoveCols", "CellUnpatch", "CellSlide"
 	RemovedMass   float64 // Frobenius mass of the removed content
 	SigmaMin      float64 // smallest non-zero retained σ before the downdate
 	ZeroResidual  float64 // max relative residual of a removed row/col
 	OrthoResidual float64 // worst factor ‖QᵀQ−I‖∞ after the downdate
+	// InputOrthoResidual is the worst factor ‖QᵀQ−I‖∞ of the input: a
+	// downdate measures the orthogonality of its output, which
+	// inherits whatever drift its input already carried.
+	InputOrthoResidual float64
 }
 
 func (e *IllConditionedError) Error() string {
-	return fmt.Sprintf("update: %s: downdate is ill-conditioned (removed mass %.3g vs σ_min %.3g, zero residual %.3g, orthogonality residual %.3g)",
-		e.Op, e.RemovedMass, e.SigmaMin, e.ZeroResidual, e.OrthoResidual)
+	if e.inherited() {
+		return fmt.Sprintf("update: %s: ill-conditioned on drifted input factors (orthogonality residual %.3g in, %.3g out; removed mass %.3g vs σ_min %.3g)",
+			e.Op, e.InputOrthoResidual, e.OrthoResidual, e.RemovedMass, e.SigmaMin)
+	}
+	return fmt.Sprintf("update: %s: downdate is ill-conditioned (removed mass %.3g vs σ_min %.3g, zero residual %.3g, orthogonality residual %.3g, %.3g on input)",
+		e.Op, e.RemovedMass, e.SigmaMin, e.ZeroResidual, e.OrthoResidual, e.InputOrthoResidual)
 }
 
 func (e *IllConditionedError) Unwrap() error { return ErrIllConditioned }
+
+// inherited reports whether the check that tripped mostly measured
+// drift the input already carried: only orthogonality tripped, and the
+// step at most doubled the input's residual.
+func (e *IllConditionedError) inherited() bool {
+	return e.ZeroResidual <= downdateZeroTol && e.OrthoResidual > downdateOrthoTol &&
+		2*e.InputOrthoResidual >= e.OrthoResidual
+}
+
+// factorDrift is the worst ‖QᵀQ−I‖∞ over both factors of f.
+func factorDrift(f *eig.SVDResult) float64 {
+	return math.Max(OrthoResidual(f.U, f.S), OrthoResidual(f.V, f.S))
+}
 
 // RemoveRows returns the rank-truncated SVD of A with the given rows
 // deleted (surviving rows keep their relative order), given the factors
@@ -154,7 +175,7 @@ func RemoveRows(f *eig.SVDResult, rows []int, rank int) (*eig.SVDResult, float64
 	if zres > downdateZeroTol || ortho > downdateOrthoTol {
 		return nil, 0, &IllConditionedError{
 			Op: "RemoveRows", RemovedMass: mass, SigmaMin: smin,
-			ZeroResidual: zres, OrthoResidual: ortho,
+			ZeroResidual: zres, OrthoResidual: ortho, InputOrthoResidual: factorDrift(f),
 		}
 	}
 	return &eig.SVDResult{U: u, S: res.S, V: res.V}, disc, nil
@@ -178,29 +199,50 @@ func RemoveCols(f *eig.SVDResult, cols []int, rank int) (*eig.SVDResult, float64
 // CellUnpatch returns the rank-truncated SVD of A with the given cells
 // reverted to unobserved zero. Each triplet carries the cell's CURRENT
 // stored value (the caller owns the matrix; the model only sees the
-// additive delta), so the unpatch is CellPatch with every value
-// negated, followed by the downdate health checks: a non-finite result
-// is ErrNonFinite, orthogonality loss beyond tolerance is an
-// *IllConditionedError, and in both cases the factors are withheld.
+// additive delta), so the unpatch is the signed step below with no
+// arrivals: CellPatch with every value negated, followed by the
+// downdate health checks.
 func CellUnpatch(f *eig.SVDResult, cells []sparse.Triplet, rank int) (*eig.SVDResult, float64, error) {
-	neg := make([]sparse.Triplet, len(cells))
+	return signedPatch("CellUnpatch", f, nil, cells, rank)
+}
+
+// CellSlide returns the rank-truncated SVD of A + ΔA for one window
+// slide in a single Brand step: arrivals carry additive deltas (as for
+// CellPatch), tombstones carry the current stored values they revert to
+// zero (as for CellUnpatch), and ΔA holds +arrival and −tombstone per
+// cell. A cell in both lists is an error. Against CellPatch followed by
+// CellUnpatch it pays one basis extension and one core SVD instead of
+// two — the compressed step's cost does not grow with the doubled batch
+// — and it applies CellUnpatch's health checks to the combined result.
+func CellSlide(f *eig.SVDResult, arrivals, tombstones []sparse.Triplet, rank int) (*eig.SVDResult, float64, error) {
+	return signedPatch("CellSlide", f, arrivals, tombstones, rank)
+}
+
+// signedPatch is the one signed cell step behind CellUnpatch and
+// CellSlide: CellPatch of the arrivals and the negated tombstones, then
+// the downdate health checks — a non-finite result is ErrNonFinite,
+// orthogonality loss beyond tolerance is an *IllConditionedError naming
+// op, with the tombstones' mass and the input's own orthogonality
+// residual — and in both cases the factors are withheld.
+func signedPatch(op string, f *eig.SVDResult, arrivals, tombstones []sparse.Triplet, rank int) (*eig.SVDResult, float64, error) {
+	signed := make([]sparse.Triplet, len(arrivals), len(arrivals)+len(tombstones))
+	copy(signed, arrivals)
 	var massSq float64
-	for i, t := range cells {
-		neg[i] = sparse.Triplet{Row: t.Row, Col: t.Col, Val: -t.Val}
+	for _, t := range tombstones {
+		signed = append(signed, sparse.Triplet{Row: t.Row, Col: t.Col, Val: -t.Val})
 		massSq += t.Val * t.Val
 	}
-	res, disc, err := CellPatch(f, neg, rank)
+	res, disc, err := CellPatch(f, signed, rank)
 	if err != nil {
 		return nil, 0, err
 	}
 	if err := CheckFinite(res); err != nil {
-		return nil, 0, fmt.Errorf("update: CellUnpatch: %w", err)
+		return nil, 0, fmt.Errorf("update: %s: %w", op, err)
 	}
-	ortho := math.Max(OrthoResidual(res.U, res.S), OrthoResidual(res.V, res.S))
-	if ortho > downdateOrthoTol {
+	if ortho := factorDrift(res); ortho > downdateOrthoTol {
 		return nil, 0, &IllConditionedError{
-			Op: "CellUnpatch", RemovedMass: math.Sqrt(massSq),
-			SigmaMin: sigmaMinNonzero(f.S), OrthoResidual: ortho,
+			Op: op, RemovedMass: math.Sqrt(massSq), SigmaMin: sigmaMinNonzero(f.S),
+			OrthoResidual: ortho, InputOrthoResidual: factorDrift(f),
 		}
 	}
 	return res, disc, nil

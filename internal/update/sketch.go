@@ -71,7 +71,7 @@ func sketchedPatch(f *eig.SVDResult, cells []sparse.Triplet, rank, k int) (*eig.
 	for _, t := range cells {
 		axpy(y.RowView(t.Col), t.Val, omega.RowView(t.Row))
 	}
-	q := orthComplement(f.V, y) // n×k
+	_, q, _ := extendBasis(f.V, y) // n×k
 
 	// Z = ΔA·R for R = [V Q], again from the cells; the left extension
 	// is exact on it.
@@ -87,10 +87,11 @@ func sketchedPatch(f *eig.SVDResult, cells []sparse.Triplet, rank, k int) (*eig.
 	// the model's rows already lie in span V ⊆ span R. This equals
 	// ‖A+ΔA‖² − ‖K‖² without the cancellation against ‖Σ‖².
 	lost := deltaSq - sumSq(z.Data)
-	p := orthComplement(f.U, z) // m×(r+k)
+	mz, p, rz := extendBasis(f.U, z) // Z = U·Mz + P·Rz, P m×(r+k)
 
-	// Core K = Lᵀ·([U·Σ 0] + Z) = [diag(S) 0; 0 0] + [UᵀZ; PᵀZ].
-	kc := stack(matrix.TMul(f.U, z), matrix.TMul(p, z))
+	// Core K = Lᵀ·([U·Σ 0] + Z) = [diag(S) 0; 0 0] + [Mz; Rz]: the
+	// extension's own coefficients are UᵀZ and PᵀZ, as in LowRank.
+	kc := stack(mz, rz)
 	for i := 0; i < r; i++ {
 		kc.Data[i*kc.Cols+i] += f.S[i]
 	}
@@ -113,24 +114,6 @@ func sketchedPatch(f *eig.SVDResult, cells []sparse.Triplet, rank, k int) (*eig.
 	)
 	canonicalizePairSigns(u, v)
 	return &eig.SVDResult{U: u, S: s, V: v}, disc, nil
-}
-
-// orthComplement returns an orthonormal-or-zero basis of the part of
-// b's column space outside span u. A sketch block is usually rank
-// deficient, and a column that collapses onto earlier ones only just
-// above the Gram-Schmidt drop threshold is normalized up from
-// rounding-level content — magnifying its rounding-level component along
-// u with it. One more projection removes that component, so [u j]
-// stays orthonormal to rounding whatever b's rank; a stray direction is
-// harmless, since the core is exact on any orthonormal extension.
-func orthComplement(u, b *matrix.Dense) *matrix.Dense {
-	_, j, _ := extendBasis(u, b)
-	j = matrix.Sub(j, matrix.Mul(u, matrix.TMul(u, j)))
-	// The projection moved each column only within span u, which the
-	// other columns are orthogonal to, so renormalizing restores an
-	// orthonormal-or-zero set without another sweep.
-	j.NormalizeColumns()
-	return j
 }
 
 // axpy adds a·x to y in place (len(x) = len(y)).

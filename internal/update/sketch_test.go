@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/eig"
@@ -32,12 +33,8 @@ func scatteredPatch(m, n, count int, scale float64, rng *rand.Rand) []sparse.Tri
 // the compressed step at this rank.
 func requireSketched(t *testing.T, f *eig.SVDResult, patch []sparse.Triplet, rank int) {
 	t.Helper()
-	rows, cols := map[int]bool{}, map[int]bool{}
-	for _, c := range patch {
-		rows[c.Row], cols[c.Col] = true, true
-	}
-	if c, w := min(len(rows), len(cols)), len(f.S)+max(rank, len(f.S))+sketchOversample; c <= w {
-		t.Fatalf("patch has batch rank %d; the sketched step needs more than %d", c, w)
+	if !Wide(f, patch, rank) {
+		t.Fatalf("patch of %d cells is too narrow for the sketched step at rank %d", len(patch), rank)
 	}
 }
 
@@ -73,6 +70,58 @@ func patched(f *eig.SVDResult, patch []sparse.Triplet) *matrix.Dense {
 		a.Set(c.Row, c.Col, a.At(c.Row, c.Col)+c.Val)
 	}
 	return a
+}
+
+// slid returns reconstruct(f) + arrivals − tombstones: the matrix a
+// CellSlide claims to factor.
+func slid(f *eig.SVDResult, arrive, expire []sparse.Triplet) *matrix.Dense {
+	a := patched(f, arrive)
+	for _, c := range expire {
+		a.Set(c.Row, c.Col, a.At(c.Row, c.Col)-c.Val)
+	}
+	return a
+}
+
+// scatteredSlide draws a window slide of count arrivals and count
+// tombstones at distinct random cells, both wide enough for the
+// sketched step at rank.
+func scatteredSlide(t *testing.T, f *eig.SVDResult, count, rank int, rng *rand.Rand) (arrive, expire []sparse.Triplet) {
+	t.Helper()
+	cells := scatteredPatch(f.U.Rows, f.V.Rows, 2*count, 1, rng)
+	arrive, expire = cells[:count], cells[count:]
+	requireSketched(t, f, arrive, rank)
+	requireSketched(t, f, expire, rank)
+	return arrive, expire
+}
+
+// leftResidual returns ‖a·V′ − U′·Σ′‖_F for the factors got.
+func leftResidual(a *matrix.Dense, got *eig.SVDResult) float64 {
+	res := matrix.Mul(a, got.V)
+	for j, sv := range got.S {
+		for i := 0; i < res.Rows; i++ {
+			res.Data[i*res.Cols+j] -= got.U.At(i, j) * sv
+		}
+	}
+	return res.Frobenius()
+}
+
+// requireBitwise fails the test unless two step results agree bit for
+// bit.
+func requireBitwise(t *testing.T, got, want *eig.SVDResult, gotDisc, wantDisc float64, what string) {
+	t.Helper()
+	if gotDisc != wantDisc {
+		t.Fatalf("%s: discarded mass %g vs %g", what, gotDisc, wantDisc)
+	}
+	for _, pair := range [][2][]float64{{got.S, want.S}, {got.U.Data, want.U.Data}, {got.V.Data, want.V.Data}} {
+		if len(pair[0]) != len(pair[1]) {
+			t.Fatalf("%s: shapes differ", what)
+		}
+		for i := range pair[0] {
+			if pair[0][i] != pair[1][i] {
+				t.Fatalf("%s: factors differ at flat index %d", what, i)
+			}
+		}
+	}
 }
 
 // TestSketchedPatchExactOnLowRank: a wide patch whose values form a
@@ -135,9 +184,9 @@ func TestSketchedPatchDiscardedMass(t *testing.T) {
 
 // TestSketchedPatchLeftResidual pins the identity the ISVD3/4 U rebuild
 // relies on: (A+ΔA)·V′ = U′·Σ′ for every kept pair, even though the
-// truncation drops mass. It holds because the left extension is exact on
-// the extended right basis; a left basis sketched from a random block
-// breaks it.
+// truncation drops mass — for a wide patch and for a signed slide. It
+// holds because the left extension is exact on the extended right
+// basis; a left basis sketched from a random block breaks it.
 func TestSketchedPatchLeftResidual(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	m, n, rank := 120, 100, 8
@@ -152,24 +201,29 @@ func TestSketchedPatchLeftResidual(t *testing.T) {
 	f := full.Truncate(rank)
 	patch := scatteredPatch(m, n, 300, 2, rng)
 	requireSketched(t, f, patch, rank)
-	got, _, err := CellPatch(f, patch, rank)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := matrix.Mul(patched(f, patch), got.V)
-	for j, sv := range got.S {
-		for i := 0; i < res.Rows; i++ {
-			res.Data[i*res.Cols+j] -= got.U.At(i, j) * sv
+	arrive, expire := scatteredSlide(t, f, 250, rank, rng)
+	for _, c := range []struct {
+		name string
+		step func() (*eig.SVDResult, float64, error)
+		want *matrix.Dense
+	}{
+		{"CellPatch", func() (*eig.SVDResult, float64, error) { return CellPatch(f, patch, rank) }, patched(f, patch)},
+		{"CellSlide", func() (*eig.SVDResult, float64, error) { return CellSlide(f, arrive, expire, rank) }, slid(f, arrive, expire)},
+	} {
+		got, _, err := c.step()
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if d := res.Frobenius(); d > 1e-12*got.S[0] {
-		t.Fatalf("‖(A+ΔA)·V′ − U′·Σ′‖_F = %g, want <= 1e-12·σ₁ = %g", d, 1e-12*got.S[0])
+		if d := leftResidual(c.want, got); d > 1e-12*got.S[0] {
+			t.Errorf("%s: ‖(A+ΔA)·V′ − U′·Σ′‖_F = %g, want <= 1e-12·σ₁ = %g", c.name, d, 1e-12*got.S[0])
+		}
 	}
 }
 
 // TestSketchedPatchDeterministicAcrossWorkers: the seeded sketch and the
 // cell loops are serial, every product runs on the pool kernels, so the
-// compressed step is bitwise for any worker count.
+// compressed step is bitwise for any worker count — alone (CellUnpatch)
+// and as a signed slide (CellSlide).
 func TestSketchedPatchDeterministicAcrossWorkers(t *testing.T) {
 	defer parallel.SetWorkers(0)
 	rng := rand.New(rand.NewSource(53))
@@ -181,36 +235,25 @@ func TestSketchedPatchDeterministicAcrossWorkers(t *testing.T) {
 	f := full.Truncate(rank)
 	patch := scatteredPatch(m, n, 400, 1, rng)
 	requireSketched(t, f, patch, rank)
-	var ref *eig.SVDResult
-	var refDisc float64
-	for _, w := range []int{1, 3} {
-		parallel.SetWorkers(w)
-		got, disc, err := CellUnpatch(f, patch, rank)
+	arrive, expire := scatteredSlide(t, f, 300, rank, rng)
+	for _, c := range []struct {
+		name string
+		step func() (*eig.SVDResult, float64, error)
+	}{
+		{"CellUnpatch", func() (*eig.SVDResult, float64, error) { return CellUnpatch(f, patch, rank) }},
+		{"CellSlide", func() (*eig.SVDResult, float64, error) { return CellSlide(f, arrive, expire, rank) }},
+	} {
+		parallel.SetWorkers(1)
+		ref, refDisc, err := c.step()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if w == 1 {
-			ref, refDisc = got, disc
-			continue
+		parallel.SetWorkers(3)
+		got, disc, err := c.step()
+		if err != nil {
+			t.Fatal(err)
 		}
-		if disc != refDisc {
-			t.Fatalf("discarded mass differs at %d workers", w)
-		}
-		for i := range ref.S {
-			if ref.S[i] != got.S[i] {
-				t.Fatalf("S[%d] differs at %d workers", i, w)
-			}
-		}
-		for i := range ref.U.Data {
-			if ref.U.Data[i] != got.U.Data[i] {
-				t.Fatalf("U differs at %d workers", w)
-			}
-		}
-		for i := range ref.V.Data {
-			if ref.V.Data[i] != got.V.Data[i] {
-				t.Fatalf("V differs at %d workers", w)
-			}
-		}
+		requireBitwise(t, got, ref, disc, refDisc, c.name+" at 3 workers vs 1")
 	}
 }
 
@@ -248,11 +291,126 @@ func TestSketchedUnpatchHealthChecks(t *testing.T) {
 	}
 }
 
+// TestSketchedSlideExactOnLowRank: a slide whose arrivals form a rank-3
+// block and whose tombstones form a rank-2 block, each touching at least
+// 60 rows and columns, is a rank-5 signed patch; on a rank-5 matrix kept
+// at rank 10 the single signed step must be exact.
+func TestSketchedSlideExactOnLowRank(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	m, n, rank := 140, 90, 10
+	a := lowRankMatrix(m, n, 5, rng)
+	full, err := eig.SVD(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := full.Truncate(rank)
+
+	// Disjoint row sets keep the two halves on disjoint cells.
+	rows := rng.Perm(m)
+	block := func(rows, cols []int, rho int) []sparse.Triplet {
+		vals := lowRankMatrix(len(rows), len(cols), rho, rng)
+		var cells []sparse.Triplet
+		for bi, i := range rows {
+			for bj, j := range cols {
+				cells = append(cells, sparse.Triplet{Row: i, Col: j, Val: vals.At(bi, bj)})
+			}
+		}
+		return cells
+	}
+	arrive := block(rows[:64], rng.Perm(n)[:60], 3)
+	expire := block(rows[64:128], rng.Perm(n)[:60], 2)
+	requireSketched(t, f, arrive, rank)
+	requireSketched(t, f, expire, rank)
+	got, _, err := CellSlide(f, arrive, expire, rank)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAgainstFull(t, got, slid(f, arrive, expire), rank, 1e-10)
+}
+
+// TestSketchedSlideDiscardedMass: one signed step discards no more
+// Frobenius mass than the two-step sequence it replaces (CellPatch, then
+// CellUnpatch), √(d₁² + d₂²), up to 5% — and so well under the d₁ + d₂
+// the refresh budget was charged for the two steps.
+func TestSketchedSlideDiscardedMass(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	m, n, rank := 120, 100, 8
+	full, err := eig.SVD(lowRankMatrix(m, n, 6, rng))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := full.Truncate(rank)
+	arrive, expire := scatteredSlide(t, f, 250, rank, rng)
+	mid, d1, err := CellPatch(f, arrive, rank)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, d2, err := CellUnpatch(mid, expire, rank)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, merged, err := CellSlide(f, arrive, expire, rank)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if two := math.Hypot(d1, d2); merged <= 0 || merged > 1.05*two {
+		t.Fatalf("signed step discarded %g, want in (0, 1.05·%g] (two steps: %g, %g)", merged, two, d1, d2)
+	}
+}
+
+// TestSketchedSlideHealthChecks: the signed step carries CellUnpatch's
+// gates under its own name. A non-finite factor is ErrNonFinite; a
+// factor whose orthogonality is already damaged is a CellSlide
+// *IllConditionedError that charges only the tombstones' mass and
+// reports the input's own residual, so inherited drift reads as drift.
+func TestSketchedSlideHealthChecks(t *testing.T) {
+	rng := rand.New(rand.NewSource(79))
+	m, n, rank := 120, 100, 8
+	full, err := eig.SVD(lowRankMatrix(m, n, 6, rng))
+	if err != nil {
+		t.Fatal(err)
+	}
+	arrive, expire := scatteredSlide(t, full.Truncate(rank), 250, rank, rng)
+
+	poisoned := full.Truncate(rank)
+	poisoned.U.Data[7] = math.NaN()
+	if _, _, err := CellSlide(poisoned, arrive, expire, rank); !errors.Is(err, ErrNonFinite) {
+		t.Errorf("non-finite factor: error %v, want ErrNonFinite", err)
+	}
+
+	drifted := full.Truncate(rank)
+	for i := 0; i < drifted.U.Rows; i++ {
+		drifted.U.Data[i*drifted.U.Cols] *= 1 + 1e-6
+	}
+	_, _, err = CellSlide(drifted, arrive, expire, rank)
+	var ill *IllConditionedError
+	if !errors.As(err, &ill) || ill.Op != "CellSlide" {
+		t.Fatalf("drifted factor: error %v, want a CellSlide *IllConditionedError", err)
+	}
+	var tombSq float64
+	for _, c := range expire {
+		tombSq += c.Val * c.Val
+	}
+	if want := math.Sqrt(tombSq); ill.RemovedMass != want {
+		t.Errorf("removed mass %g, want the tombstones' %g", ill.RemovedMass, want)
+	}
+	if ill.InputOrthoResidual <= downdateOrthoTol || ill.OrthoResidual <= downdateOrthoTol {
+		t.Errorf("residuals in %g / out %g, want both above %g", ill.InputOrthoResidual, ill.OrthoResidual, downdateOrthoTol)
+	}
+	if !strings.Contains(err.Error(), "drifted input") {
+		t.Errorf("error %q does not name the inherited drift", err)
+	}
+}
+
 // TestOrthComplementNearDependent: a column that collapses onto an
 // earlier one only just above the Gram-Schmidt drop threshold is
 // normalized up from a tiny remainder, and with it the rounding left by
-// projecting out a large span-u component. The extension must still be
-// orthogonal to u and orthonormal-or-zero in itself.
+// projecting out a large span-u component. extendBasis — the basis
+// extension of the exact step (LowRank, and RemoveRows/RemoveCols
+// through it) and of the sketched step alike — must still return an
+// extension orthogonal to u and orthonormal-or-zero in itself, and a
+// LowRank step that keeps the near-dependent direction must publish
+// orthonormal factors.
 func TestOrthComplementNearDependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	m, r := 80, 6
@@ -260,7 +418,8 @@ func TestOrthComplementNearDependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u := full.Truncate(r).U
+	f := full.Truncate(r)
+	u := f.U
 	x := make([]float64, m)
 	z := make([]float64, m)
 	for i := range x {
@@ -275,20 +434,42 @@ func TestOrthComplementNearDependent(t *testing.T) {
 		b.Set(i, 0, big+x[i])
 		b.Set(i, 1, big+x[i]+1e-12*z[i])
 	}
-	j := orthComplement(u, b)
-	if d := matrix.TMul(u, j).MaxAbs(); d > 1e-12 {
-		t.Errorf("‖uᵀj‖∞ = %g, want <= 1e-12", d)
-	}
-	g := matrix.TMul(j, j)
-	for c := 0; c < g.Rows; c++ {
-		for e := 0; e < g.Cols; e++ {
-			want := 0.0
-			if c == e && g.At(c, c) != 0 {
-				want = 1
-			}
-			if d := math.Abs(g.At(c, e) - want); d > 1e-12 {
-				t.Errorf("(jᵀj)[%d][%d] = %g, want %g", c, e, g.At(c, e), want)
+
+	t.Run("extendBasis", func(t *testing.T) {
+		_, j, _ := extendBasis(u, b)
+		if d := matrix.TMul(u, j).MaxAbs(); d > 1e-12 {
+			t.Errorf("‖uᵀj‖∞ = %g, want <= 1e-12", d)
+		}
+		g := matrix.TMul(j, j)
+		for c := 0; c < g.Rows; c++ {
+			for e := 0; e < g.Cols; e++ {
+				want := 0.0
+				if c == e && g.At(c, c) != 0 {
+					want = 1
+				}
+				if d := math.Abs(g.At(c, e) - want); d > 1e-12 {
+					t.Errorf("(jᵀj)[%d][%d] = %g, want %g", c, e, g.At(c, e), want)
+				}
 			}
 		}
-	}
+	})
+
+	// b·qᵀ with q = 1e12·[−w w] is the modest rank-1 update
+	// (b₂ − b₁)·1e12·wᵀ: the near-dependent direction carries mass on
+	// the scale of the spectrum, so the step keeps it at rank r + 2.
+	t.Run("LowRank", func(t *testing.T) {
+		q := matrix.New(m, 2)
+		for i := 0; i < m; i++ {
+			w := rng.NormFloat64()
+			q.Set(i, 0, -1e12*w)
+			q.Set(i, 1, 1e12*w)
+		}
+		got, _, err := LowRank(f, b, q, r+2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := OrthoResidual(got.U, got.S); d > 1e-12 {
+			t.Errorf("updated U: ‖UᵀU − I‖∞ = %g, want <= 1e-12", d)
+		}
+	})
 }

@@ -13,6 +13,9 @@
 // basis is extended exactly on the extended right basis, and the step
 // costs O(nnz·(r+k) + (m+n)·(r+k)² + (r+k)³) whatever the patch width;
 // the mass outside the sketch is charged to the Discarded return value.
+// A window slide whose arrivals and tombstones are both that wide is one
+// such step per side, not two: CellSlide folds them into one signed
+// patch (+arrival, −expired value) under CellUnpatch's downdate checks.
 //
 // The mechanics are the classical three steps: (1) project the batch
 // onto the existing factors and extract the out-of-subspace component
@@ -210,8 +213,7 @@ func CellPatch(f *eig.SVDResult, patch []sparse.Triplet, rank int) (*eig.SVDResu
 	}
 	// A patch wider than the sketched core takes the compressed step;
 	// narrower ones keep the exact factorization below.
-	r := len(f.S)
-	if k := max(rank, r) + sketchOversample; min(len(rowSet), len(colSet)) > r+k {
+	if k, wide := sketchWidth(len(f.S), rank, min(len(rowSet), len(colSet))); wide {
 		return sketchedPatch(f, sorted, rank, k)
 	}
 	// Group on the smaller side: by rows, p's columns are row indicators
@@ -240,6 +242,27 @@ func CellPatch(f *eig.SVDResult, patch []sparse.Triplet, rank int) (*eig.SVDResu
 		}
 	}
 	return LowRank(f, p, q, rank)
+}
+
+// sketchWidth is the one width rule of the cell steps: a patch of batch
+// rank c (distinct rows or columns touched, whichever is fewer) against
+// a rank-r state kept at rank is wide when c exceeds r + k, the column
+// count of the sketched core's right extension; a wide patch takes the
+// compressed step with k sketch columns.
+func sketchWidth(r, rank, c int) (k int, wide bool) {
+	k = max(rank, r) + sketchOversample
+	return k, c > r+k
+}
+
+// Wide reports whether CellPatch takes the compressed step for cells
+// (distinct, in range) against the factors f at the given rank.
+func Wide(f *eig.SVDResult, cells []sparse.Triplet, rank int) bool {
+	rows, cols := map[int]bool{}, map[int]bool{}
+	for _, t := range cells {
+		rows[t.Row], cols[t.Col] = true, true
+	}
+	_, wide := sketchWidth(len(f.S), rank, min(len(rows), len(cols)))
+	return wide
 }
 
 // Pair applies one update step to both endpoint factor sides of an
@@ -283,19 +306,46 @@ func clampRank(rank, r, coreDim, rows, cols int) int {
 	return rank
 }
 
+// refineFrac marks a near-dependent batch column: one whose
+// Gram-Schmidt remainder is below refineFrac times its norm outside
+// span u. Normalizing such a remainder magnifies the ~eps·‖column‖
+// rounding it still carries along u by the inverse ratio (‖uᵀj‖∞ reached
+// 9.7e-5 at a 1e-12 ratio), so extendBasis projects it out once more.
+// Above the fraction that component stays below ~eps/refineFrac.
+const refineFrac = 1e-4
+
 // extendBasis projects the batch block p (dim×c) onto the orthonormal
 // columns of u (dim×r) and Gram-Schmidt-extends the basis with the
 // residual: p = u·m + j·r with j's columns orthonormal (or zero where a
-// batch direction lies inside the existing subspace). The projections
-// run on the pool-sharded kernels; the in-order column sweep is serial,
-// index-ordered, and therefore bitwise deterministic.
+// batch direction lies inside the existing subspace) and orthogonal to
+// u, whatever p's rank. The projections run on the pool-sharded
+// kernels; the in-order column sweep and the refinement of
+// near-dependent columns are serial, index-ordered, and therefore
+// bitwise deterministic.
 func extendBasis(u, p *matrix.Dense) (m, j, r *matrix.Dense) {
-	m = matrix.TMul(u, p)                  // r×c coefficients
-	res := matrix.Sub(p, matrix.Mul(u, m)) // dim×c residual
-	m2 := matrix.TMul(u, res)              // re-orthogonalization pass
-	res = matrix.Sub(res, matrix.Mul(u, m2))
+	m = matrix.TMul(u, p)       // r×c coefficients
+	res := matrix.Mul(u, m)     // dim×c residual …
+	matrix.SubInto(res, p, res) // … p − u·m, in place
+	m2 := matrix.TMul(u, res)   // re-orthogonalization pass
+	proj := matrix.MulInto(matrix.New(res.Rows, res.Cols), u, m2)
+	matrix.SubInto(res, res, proj)
 	m = matrix.AddInto(m, m, m2)
 	j, r = gsCols(res)
+	// A near-dependent column is re-projected against u and
+	// renormalized. The projection moves it only within span u, which
+	// the other columns are orthogonal to, so the set stays
+	// orthonormal-or-zero. What it removes is rounding magnified by
+	// ‖res_l‖/r[l][l], so r[l][l] times it is rounding again: m and r
+	// stay as they are.
+	for l := 0; l < j.Cols; l++ {
+		if rl := r.At(l, l); rl == 0 || rl >= refineFrac*res.ColNorm(l) {
+			continue
+		}
+		col := &matrix.Dense{Rows: j.Rows, Cols: 1, Data: j.Col(l)}
+		col = matrix.Sub(col, matrix.Mul(u, matrix.TMul(u, col)))
+		col.NormalizeColumns()
+		j.SetCol(l, col.Data)
+	}
 	return m, j, r
 }
 
