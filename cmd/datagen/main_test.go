@@ -149,7 +149,7 @@ func TestBatchesStableSplit(t *testing.T) {
 			t.Fatal(err)
 		}
 		total += len(batch.Patch)
-		cur, err = cur.ApplyPatch(batch.Patch)
+		cur, err = cur.ApplyCells(batch.Patch, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,13 +235,13 @@ func TestWindowBatches(t *testing.T) {
 		}
 		arrivals += len(batch.Patch)
 		before := cur.NNZ()
-		cur, err = cur.ApplyPatch(batch.Patch)
+		cur, err = cur.ApplyCells(batch.Patch, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// ReadDeltaCOO already proved each tombstone targets a stored
-		// cell; ApplyUnpatch enforces it again during the replay.
-		cur, err = cur.ApplyUnpatch(batch.Tombstones)
+		// cell; ApplyCells enforces it again during the replay.
+		cur, err = cur.ApplyCells(nil, batch.Tombstones)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -51,7 +51,7 @@ func TestDowndateMatchesFullRecomputeAllMethods(t *testing.T) {
 				switch kind {
 				case "unpatch":
 					delta.Unpatch = []sparse.Cell{{Row: 1, Col: 2}, {Row: 1, Col: 5}, {Row: 8, Col: 3}}
-					after, err = sp.ApplyUnpatch(delta.Unpatch)
+					after, err = sp.ApplyCells(nil, delta.Unpatch)
 				case "remove-rows":
 					delta.RemoveRows = []int{41, 0, 7}
 					after, err = sp.RemoveRows(delta.RemoveRows)
@@ -295,8 +295,42 @@ func TestPoisonedStateNeverPublishes(t *testing.T) {
 	// Forget touches only the spectrum, so the NaN survives to the
 	// finiteness gate rather than failing some earlier product.
 	_, err = d.Update(Delta{Forget: 0.5}, Options{RefreshBudget: math.Inf(1)})
-	if !errors.Is(err, ErrPoisoned) {
-		t.Fatalf("update on poisoned state: %v, want ErrPoisoned", err)
+	if !errors.Is(err, ErrPoisoned) || !strings.Contains(err.Error(), "min side") {
+		t.Fatalf("update on poisoned state: %v, want ErrPoisoned naming the min side", err)
+	}
+}
+
+// TestUpdateRejectsBadCellBatch: a cell batch the stored matrix cannot
+// take fails the whole update — a cell both patched and tombstoned, a
+// tombstone for a cell the same batch inserts, a repeated tombstone —
+// and the receiver keeps updating.
+func TestUpdateRejectsBadCellBatch(t *testing.T) {
+	sp, err := sparse.FromICOO(20, 14, []sparse.ITriplet{
+		{Row: 0, Col: 0, Lo: 1, Hi: 2}, {Row: 3, Col: 5, Lo: 2, Hi: 2.5}, {Row: 7, Col: 1, Lo: 0.5, Hi: 1},
+		{Row: 12, Col: 9, Lo: 3, Hi: 4}, {Row: 19, Col: 13, Lo: 1, Hi: 1.5}, {Row: 9, Col: 6, Lo: 2, Hi: 3},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := DecomposeSparse(sp, ISVD1, Options{Rank: 3, Target: TargetB, Updatable: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const both = "is both patched and tombstoned"
+	for _, c := range []struct {
+		name, want string
+		delta      Delta
+	}{
+		{"stored cell in both", both, Delta{Patch: []sparse.ITriplet{{Row: 3, Col: 5, Lo: 1, Hi: 1}}, Unpatch: []sparse.Cell{{Row: 3, Col: 5}}}},
+		{"inserted cell in both", both, Delta{Patch: []sparse.ITriplet{{Row: 4, Col: 4, Lo: 1, Hi: 1}}, Unpatch: []sparse.Cell{{Row: 4, Col: 4}}}},
+		{"repeated tombstone", "duplicate tombstone", Delta{Unpatch: []sparse.Cell{{Row: 0, Col: 0}, {Row: 0, Col: 0}}}},
+	} {
+		if _, err := d.Update(c.delta, Options{}); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: update error %v, want one containing %q", c.name, err, c.want)
+		}
+	}
+	if _, err := d.Update(Delta{Patch: []sparse.ITriplet{{Row: 4, Col: 4, Lo: 1, Hi: 1}}, Unpatch: []sparse.Cell{{Row: 0, Col: 0}}}, Options{}); err != nil {
+		t.Fatalf("valid slide after rejected batches: %v", err)
 	}
 }
 

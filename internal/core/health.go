@@ -1,12 +1,5 @@
 package core
 
-import (
-	"math"
-
-	"repro/internal/eig"
-	"repro/internal/update"
-)
-
 // Health is the numerical-health report of an updatable decomposition:
 // how much incremental damage the factor states have absorbed since the
 // last refresh, and what the escalation ladder has done about it. The
@@ -22,8 +15,7 @@ type Health struct {
 
 	// ResidualBudgetUsed is the accumulated relative discarded singular
 	// mass since the last refresh — the fraction of
-	// Options.RefreshBudget already spent (same value as
-	// UpdateResidual).
+	// Options.RefreshBudget already spent.
 	ResidualBudgetUsed float64
 	// OrthoDrift is the worst ‖QᵀQ−I‖∞ over the maintained factor
 	// sides: zero for perfectly orthonormal-or-zero factors, escalation
@@ -60,9 +52,12 @@ func (d *Decomposition) Health() Health {
 	if st == nil {
 		return Health{}
 	}
-	h := Health{
+	sh := st.health()
+	return Health{
 		Updatable:            true,
 		ResidualBudgetUsed:   st.resAcc,
+		OrthoDrift:           sh.drift,
+		Cond:                 sh.cond,
 		Updates:              st.updates,
 		UpdatesSinceRefresh:  st.updatesSinceRefresh,
 		Refreshes:            st.refreshes,
@@ -70,25 +65,4 @@ func (d *Decomposition) Health() Health {
 		LastEscalation:       st.lastEscalation,
 		LastEscalationReason: st.lastReason,
 	}
-	for _, f := range [...]*eig.SVDResult{st.mid, st.lo, st.hi} {
-		if f == nil {
-			continue
-		}
-		h.OrthoDrift = math.Max(h.OrthoDrift, math.Max(
-			update.OrthoResidual(f.U, f.S),
-			update.OrthoResidual(f.V, f.S)))
-		if len(f.S) > 0 && f.S[0] > 0 {
-			smin := 0.0
-			for i := len(f.S) - 1; i >= 0; i-- {
-				if f.S[i] > 0 {
-					smin = f.S[i]
-					break
-				}
-			}
-			if smin > 0 {
-				h.Cond = math.Max(h.Cond, f.S[0]/smin)
-			}
-		}
-	}
-	return h
 }

@@ -169,9 +169,7 @@ func ImportState(ps *PersistentState) (*Decomposition, error) {
 		state: &updState{
 			opts:   ps.Opts,
 			m:      ps.M,
-			lo:     ps.Lo,
-			hi:     ps.Hi,
-			mid:    ps.Mid,
+			sides:  sides{lo: ps.Lo, hi: ps.Hi, mid: ps.Mid},
 			resAcc: ps.ResAcc,
 		},
 	}, nil

@@ -79,7 +79,7 @@ func chainDigest(t *testing.T, d *Decomposition, deltas []Delta, opts Options) u
 				}
 			}
 		}
-		put(math.Float64bits(d.UpdateResidual()))
+		put(math.Float64bits(d.Health().ResidualBudgetUsed))
 		hl := d.Health()
 		put(uint64(hl.Updates))
 		put(uint64(hl.Refreshes))

@@ -91,7 +91,7 @@ func TestSketchedWindowChain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slideMerges(d.state.mid, d.state.lo, d.state.hi, arrive, expire, opts.Rank) {
+		if !slideMerges(d.state.sides, arrive, expire, opts.Rank) {
 			t.Fatalf("step %d does not take the merged step", i)
 		}
 		if d, err = d.Update(delta, Options{}); err != nil {
@@ -157,7 +157,7 @@ func slideBy(t *testing.T, d *Decomposition, delta Delta,
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := decompose(updateOperand{m: next, lo: lo, hi: hi}, d.Method, st.opts)
+	d2, err := decompose(updateOperand{m: next, sides: sides{lo: lo, hi: hi}}, d.Method, st.opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/eig"
 	"repro/internal/imatrix"
 	"repro/internal/matrix"
-	"repro/internal/parallel"
 	"repro/internal/sparse"
 	"repro/internal/update"
 )
@@ -61,9 +60,11 @@ var ErrPoisoned = errors.New("core: update produced non-finite factors")
 // and the removal index sets all address the post-append shape (and the
 // removals run last, so their indices are stable against everything
 // else in the same batch) — the natural sliding-window order: decay old
-// evidence, admit the new slice, then expire the old one. When Patch and
-// Unpatch are both wide (see update.Wide) they fold into one signed
-// Brand step per factor side; the matrix they produce is the same.
+// evidence, admit the new slice, then expire the old one. Patch and
+// Unpatch address disjoint cells of the same matrix, and the stored
+// matrix takes both in one merge (sparse.ICSR.ApplyCells). When they
+// are both wide (see update.Wide) they also fold into one signed Brand
+// step per factor side; otherwise each takes its own step.
 type Delta struct {
 	// Forget, when in (0, 1), is the exponential forgetting factor λ:
 	// the retained singular values and the stored matrix are scaled by
@@ -80,9 +81,9 @@ type Delta struct {
 	// values). Duplicate cells within one batch are an error.
 	Patch []sparse.ITriplet
 	// Unpatch reverts cells to unobserved zero (tombstones). Every cell
-	// must currently be stored; a tombstone for a never-inserted cell
-	// is an error. A cell may not appear in both Patch and Unpatch of
-	// one batch.
+	// must be stored before the delta — a tombstone for a
+	// never-inserted cell is an error — and may not appear twice, nor
+	// in Patch as well.
 	Unpatch []sparse.Cell
 	// RemoveRows deletes rows (post-append indices, any order);
 	// surviving rows shift up. Duplicates and removing every row are
@@ -107,8 +108,7 @@ func (dl Delta) empty() bool {
 type updState struct {
 	opts Options      // resolved decompose options (rank, target, solver…)
 	m    *sparse.ICSR // current matrix
-	// Endpoint factor states: mid for ISVD0, lo/hi for ISVD1-4.
-	lo, hi, mid *eig.SVDResult
+	sides
 	// resAcc is the accumulated relative discarded singular mass since
 	// the last refresh (what Options.RefreshBudget bounds).
 	resAcc float64
@@ -127,20 +127,66 @@ type updState struct {
 	lastReason          string // human-readable trigger of the last escalation
 }
 
+// sides holds the maintained factor states of an updatable
+// decomposition: mid alone for ISVD0, the lo/hi endpoint pair for
+// ISVD1-4.
+type sides struct {
+	lo, hi, mid *eig.SVDResult
+}
+
+// step applies one batch stage to every maintained side — mid alone,
+// or the lo/hi pair concurrently on the pool (update.Pair, which names
+// the failing side) — and returns the stepped sides with each side's
+// discarded mass, indexed by side. On error the sides are not usable.
+func (s sides) step(workers int, stage func(f *eig.SVDResult, side int) (*eig.SVDResult, float64, error)) (next sides, disc [3]float64, err error) {
+	if s.mid != nil {
+		next.mid, disc[sideMid], err = stage(s.mid, sideMid)
+	} else {
+		next.lo, next.hi, disc[sideLo], disc[sideHi], err = update.Pair(workers,
+			func() (*eig.SVDResult, float64, error) { return stage(s.lo, sideLo) },
+			func() (*eig.SVDResult, float64, error) { return stage(s.hi, sideHi) },
+		)
+	}
+	return next, disc, err
+}
+
+// sideHealth is the numerical health of the maintained sides.
+type sideHealth struct {
+	drift float64 // worst ‖QᵀQ−I‖∞ of any factor (update.FactorDrift)
+	cond  float64 // worst σ₁/σ_min over the non-zero retained values; 0 if none
+	bad   string  // first side holding a NaN or Inf ("mid", "min", "max"), or ""
+	err   error   // bad's update.CheckFinite error
+}
+
+// health measures every maintained side, in the order mid, lo, hi. It
+// is the one check behind the additive gate, the warm-refresh and
+// redecompose verifications, and Decomposition.Health.
+func (s sides) health() (h sideHealth) {
+	for _, sd := range [...]struct {
+		name string
+		f    *eig.SVDResult
+	}{{"mid", s.mid}, {"min", s.lo}, {"max", s.hi}} {
+		if sd.f == nil {
+			continue
+		}
+		if h.err == nil {
+			if err := update.CheckFinite(sd.f); err != nil {
+				h.bad, h.err = sd.name, err
+			}
+		}
+		h.drift = math.Max(h.drift, update.FactorDrift(sd.f))
+		if len(sd.f.S) > 0 && sd.f.S[0] > 0 {
+			if smin := update.SigmaMinNonzero(sd.f.S); smin > 0 {
+				h.cond = math.Max(h.cond, sd.f.S[0]/smin)
+			}
+		}
+	}
+	return h
+}
+
 // Updatable reports whether this decomposition retains the incremental
 // engine state (it was produced with Options.Updatable, or by Update).
 func (d *Decomposition) Updatable() bool { return d.state != nil }
-
-// UpdateResidual returns the accumulated relative discarded singular
-// mass since the last full solve or refresh — the fraction of
-// Options.RefreshBudget already spent. Zero for non-updatable
-// decompositions.
-func (d *Decomposition) UpdateResidual() float64 {
-	if d.state == nil {
-		return 0
-	}
-	return d.state.resAcc
-}
 
 // validateUpdatable rejects Updatable configurations the factor-state
 // engine cannot serve: exact interval algebra (the state pipeline runs
@@ -261,17 +307,6 @@ func (d *Decomposition) Update(delta Delta, opts Options) (*Decomposition, error
 	if err := validateDelta(d.Method, delta); err != nil {
 		return nil, fmt.Errorf("core: Update: %w", err)
 	}
-	if len(delta.Patch) > 0 && len(delta.Unpatch) > 0 {
-		patched := make(map[[2]int]bool, len(delta.Patch))
-		for _, t := range delta.Patch {
-			patched[[2]int{t.Row, t.Col}] = true
-		}
-		for _, cl := range delta.Unpatch {
-			if patched[[2]int{cl.Row, cl.Col}] {
-				return nil, fmt.Errorf("core: Update: cell (%d, %d) appears in both Patch and Unpatch", cl.Row, cl.Col)
-			}
-		}
-	}
 	// The window must not shrink below the decompose-time rank: the
 	// factor states keep up to Rank directions and every downstream
 	// stage sizes against it.
@@ -289,7 +324,7 @@ func (d *Decomposition) Update(delta Delta, opts Options) (*Decomposition, error
 	}
 
 	m2 := st.m
-	lo, hi, mid := st.lo, st.hi, st.mid
+	cur := st.sides
 	resAcc := st.resAcc
 	rank := base.Rank
 
@@ -311,27 +346,18 @@ func (d *Decomposition) Update(delta Delta, opts Options) (*Decomposition, error
 	}
 
 	// sideUpdate applies one batch stage to every maintained factor side
-	// (lo/hi pair concurrently, or the single mid side for ISVD0).
+	// and charges each side's discarded mass, lo before hi.
 	sideUpdate := func(stage func(f *eig.SVDResult, side int) (*eig.SVDResult, float64, error)) error {
-		if mid != nil {
-			nf, disc, err := stage(mid, sideMid)
-			if err != nil {
-				return err
-			}
-			account(nf, disc)
-			mid = nf
-			return nil
-		}
-		nlo, nhi, discLo, discHi, err := update.Pair(workers,
-			func() (*eig.SVDResult, float64, error) { return stage(lo, sideLo) },
-			func() (*eig.SVDResult, float64, error) { return stage(hi, sideHi) },
-		)
+		next, disc, err := cur.step(workers, stage)
 		if err != nil {
 			return err
 		}
-		account(nlo, discLo)
-		account(nhi, discHi)
-		lo, hi = nlo, nhi
+		for side, f := range [...]*eig.SVDResult{sideLo: next.lo, sideHi: next.hi, sideMid: next.mid} {
+			if f != nil {
+				account(f, disc[side])
+			}
+		}
+		cur = next
 		return nil
 	}
 
@@ -420,7 +446,7 @@ func (d *Decomposition) Update(delta Delta, opts Options) (*Decomposition, error
 		if err != nil {
 			return nil, err
 		}
-		if len(delta.Patch) > 0 && len(delta.Unpatch) > 0 && slideMerges(mid, lo, hi, arrive, expire, rank) {
+		if len(delta.Patch) > 0 && len(delta.Unpatch) > 0 && slideMerges(cur, arrive, expire, rank) {
 			// A wide slide folds both halves into one signed step per
 			// side; it carries the downdate checks, so an ill-conditioned
 			// result abandons the chain like an unpatch.
@@ -486,20 +512,11 @@ func (d *Decomposition) Update(delta Delta, opts Options) (*Decomposition, error
 	// drift feeds the escalation decision below.
 	drift := 0.0
 	if !dead {
-		for _, sd := range [...]struct {
-			name string
-			f    *eig.SVDResult
-		}{{"mid", mid}, {"min", lo}, {"max", hi}} {
-			if sd.f == nil {
-				continue
-			}
-			if err := update.CheckFinite(sd.f); err != nil {
-				return nil, fmt.Errorf("core: Update: %s side: %w: %v", sd.name, ErrPoisoned, err)
-			}
-			drift = math.Max(drift, math.Max(
-				update.OrthoResidual(sd.f.U, sd.f.S),
-				update.OrthoResidual(sd.f.V, sd.f.S)))
+		h := cur.health()
+		if h.err != nil {
+			return nil, fmt.Errorf("core: Update: %s side: %w: %v", h.bad, ErrPoisoned, h.err)
 		}
+		drift = h.drift
 	}
 
 	// Escalation ladder: additive (level 0) → warm-started truncated
@@ -529,52 +546,22 @@ func (d *Decomposition) Update(delta Delta, opts Options) (*Decomposition, error
 		// it is not routed or does not converge (a flat spectrum, as on
 		// ratings data) the side is densified for the full solver, which
 		// then dominates the update's cost.
-		refresh := func(a *sparse.CSR, prev *eig.SVDResult) (*eig.SVDResult, error) {
-			return eig.RoutedSVD(sparse.NewOperator(a), rank, base.Solver,
-				eig.Options{StartU: prev.U, StartV: prev.V}, a.ToDense)
-		}
-		var warmErr error
-		if mid != nil {
-			var nf *eig.SVDResult
-			if nf, warmErr = refresh(m2.MidCSR(), mid); warmErr == nil {
-				mid = nf
-			}
+		next, _, err := cur.step(workers, func(f *eig.SVDResult, side int) (*eig.SVDResult, float64, error) {
+			a := sideCSR(m2, side)
+			nf, err := eig.RoutedSVD(sparse.NewOperator(a), rank, base.Solver,
+				eig.Options{StartU: f.U, StartV: f.V}, a.ToDense)
+			return nf, 0, err
+		})
+		if err != nil {
+			level, reason = 2, fmt.Sprintf("warm refresh failed: %v", err)
 		} else {
-			var nlo, nhi *eig.SVDResult
-			var errLo, errHi error
-			parallel.DoWith(workers,
-				func() { nlo, errLo = refresh(m2.LoCSR(), lo) },
-				func() { nhi, errHi = refresh(m2.HiCSR(), hi) },
-			)
-			if warmErr = errLo; warmErr == nil {
-				warmErr = errHi
-			}
-			if warmErr == nil {
-				lo, hi = nlo, nhi
-			}
-		}
-		if warmErr != nil {
-			level, reason = 2, fmt.Sprintf("warm refresh failed: %v", warmErr)
-		} else {
-			warmed = true
-			resAcc = 0
+			cur, warmed, resAcc = next, true, 0
 			// Verify the warm result; an unhealthy refresh escalates to
 			// the full redecompose instead of being published.
-			wdrift := 0.0
-			for _, f := range [...]*eig.SVDResult{mid, lo, hi} {
-				if f == nil {
-					continue
-				}
-				if err := update.CheckFinite(f); err != nil {
-					level, reason = 2, fmt.Sprintf("warm refresh unhealthy: %v", err)
-					break
-				}
-				wdrift = math.Max(wdrift, math.Max(
-					update.OrthoResidual(f.U, f.S),
-					update.OrthoResidual(f.V, f.S)))
-			}
-			if level == 1 && wdrift > orthoBudget {
-				level, reason = 2, fmt.Sprintf("warm refresh drift %.3g exceeds budget %.3g", wdrift, orthoBudget)
+			if h := cur.health(); h.err != nil {
+				level, reason = 2, fmt.Sprintf("warm refresh unhealthy: %v", h.err)
+			} else if h.drift > orthoBudget {
+				level, reason = 2, fmt.Sprintf("warm refresh drift %.3g exceeds budget %.3g", h.drift, orthoBudget)
 			}
 		}
 	}
@@ -615,16 +602,8 @@ func (d *Decomposition) Update(delta Delta, opts Options) (*Decomposition, error
 		if err != nil {
 			return nil, fmt.Errorf("core: Update: redecompose: %w", err)
 		}
-		for _, sd := range [...]struct {
-			name string
-			f    *eig.SVDResult
-		}{{"mid", d2.state.mid}, {"min", d2.state.lo}, {"max", d2.state.hi}} {
-			if sd.f == nil {
-				continue
-			}
-			if err := update.CheckFinite(sd.f); err != nil {
-				return nil, fmt.Errorf("core: Update: redecompose %s side: %w: %v", sd.name, ErrPoisoned, err)
-			}
+		if h := d2.state.health(); h.err != nil {
+			return nil, fmt.Errorf("core: Update: redecompose %s side: %w: %v", h.bad, ErrPoisoned, h.err)
 		}
 		d2.state.resAcc = 0
 		d2.state.opts.Workers = base.Workers
@@ -639,7 +618,7 @@ func (d *Decomposition) Update(delta Delta, opts Options) (*Decomposition, error
 	// the captured state's options are restored below.
 	reopts := base
 	reopts.Workers = workers
-	d2, err := decompose(updateOperand{m: m2, lo: lo, hi: hi, mid: mid}, d.Method, reopts)
+	d2, err := decompose(updateOperand{m: m2, sides: cur}, d.Method, reopts)
 	if err != nil {
 		return nil, err
 	}
@@ -649,53 +628,43 @@ func (d *Decomposition) Update(delta Delta, opts Options) (*Decomposition, error
 	return d2, nil
 }
 
-// cellDeltas applies the delta's Patch and then its Unpatch to m and
-// returns the result with the per-side factor deltas (indexed by side):
-// the additive arrivals (set semantics in, the change from the stored
-// value out; zero changes omitted) and the tombstones with the values
-// they remove (exactly what the matrix stores, zeros omitted). The two
-// lists address disjoint cells.
+// cellDeltas merges the delta's Patch and Unpatch into m in one pass
+// (sparse.ApplyCells) and returns the result with the per-side factor
+// deltas (indexed by side): the additive arrivals (set semantics in,
+// the change from the stored value out; zero changes omitted) and the
+// tombstones with the values they remove (zeros omitted). The two lists
+// address disjoint cells, so every old value is read from m.
 func cellDeltas(m *sparse.ICSR, delta Delta) (next *sparse.ICSR, arrive, expire [3][]sparse.Triplet, err error) {
-	next = m
-	if len(delta.Patch) > 0 {
-		if next, err = m.ApplyPatch(delta.Patch); err != nil {
-			return nil, arrive, expire, fmt.Errorf("core: Update: %w", err)
+	if next, err = m.ApplyCells(delta.Patch, delta.Unpatch); err != nil {
+		return nil, arrive, expire, fmt.Errorf("core: Update: %w", err)
+	}
+	for _, t := range delta.Patch {
+		if math.IsNaN(t.Lo) || math.IsInf(t.Lo, 0) || math.IsNaN(t.Hi) || math.IsInf(t.Hi, 0) {
+			return nil, arrive, expire, fmt.Errorf("core: Update: patch cell (%d, %d) has NaN or Inf endpoints", t.Row, t.Col)
 		}
-		for _, t := range delta.Patch {
-			if math.IsNaN(t.Lo) || math.IsInf(t.Lo, 0) || math.IsNaN(t.Hi) || math.IsInf(t.Hi, 0) {
-				return nil, arrive, expire, fmt.Errorf("core: Update: patch cell (%d, %d) has NaN or Inf endpoints", t.Row, t.Col)
-			}
-			if t.Lo > t.Hi {
-				return nil, arrive, expire, fmt.Errorf("core: Update: patch cell (%d, %d) is misordered (lo > hi)", t.Row, t.Col)
-			}
-			old := m.At(t.Row, t.Col)
-			for side, dv := range [3]float64{
-				sideLo:  t.Lo - old.Lo,
-				sideHi:  t.Hi - old.Hi,
-				sideMid: (t.Lo+t.Hi)/2 - (old.Lo+old.Hi)/2,
-			} {
-				if dv != 0 {
-					arrive[side] = append(arrive[side], sparse.Triplet{Row: t.Row, Col: t.Col, Val: dv})
-				}
+		if t.Lo > t.Hi {
+			return nil, arrive, expire, fmt.Errorf("core: Update: patch cell (%d, %d) is misordered (lo > hi)", t.Row, t.Col)
+		}
+		old := m.At(t.Row, t.Col)
+		for side, dv := range [3]float64{
+			sideLo:  t.Lo - old.Lo,
+			sideHi:  t.Hi - old.Hi,
+			sideMid: (t.Lo+t.Hi)/2 - (old.Lo+old.Hi)/2,
+		} {
+			if dv != 0 {
+				arrive[side] = append(arrive[side], sparse.Triplet{Row: t.Row, Col: t.Col, Val: dv})
 			}
 		}
 	}
-	if len(delta.Unpatch) > 0 {
-		// ApplyUnpatch validates that every tombstoned cell is stored.
-		patched := next
-		if next, err = patched.ApplyUnpatch(delta.Unpatch); err != nil {
-			return nil, arrive, expire, fmt.Errorf("core: Update: %w", err)
-		}
-		for _, cl := range delta.Unpatch {
-			old := patched.At(cl.Row, cl.Col)
-			for side, v := range [3]float64{
-				sideLo:  old.Lo,
-				sideHi:  old.Hi,
-				sideMid: (old.Lo + old.Hi) / 2,
-			} {
-				if v != 0 {
-					expire[side] = append(expire[side], sparse.Triplet{Row: cl.Row, Col: cl.Col, Val: v})
-				}
+	for _, cl := range delta.Unpatch {
+		old := m.At(cl.Row, cl.Col)
+		for side, v := range [3]float64{
+			sideLo:  old.Lo,
+			sideHi:  old.Hi,
+			sideMid: (old.Lo + old.Hi) / 2,
+		} {
+			if v != 0 {
+				expire[side] = append(expire[side], sparse.Triplet{Row: cl.Row, Col: cl.Col, Val: v})
 			}
 		}
 	}
@@ -707,14 +676,14 @@ func cellDeltas(m *sparse.ICSR, delta Delta) (next *sparse.ICSR, arrive, expire 
 // side, both halves would take the compressed step on their own. Every
 // other slide — narrow patches, arrivals without expiries — keeps the
 // two steps bit for bit.
-func slideMerges(mid, lo, hi *eig.SVDResult, arrive, expire [3][]sparse.Triplet, rank int) bool {
+func slideMerges(s sides, arrive, expire [3][]sparse.Triplet, rank int) bool {
 	wide := func(f *eig.SVDResult, side int) bool {
 		return update.Wide(f, arrive[side], rank) && update.Wide(f, expire[side], rank)
 	}
-	if mid != nil {
-		return wide(mid, sideMid)
+	if s.mid != nil {
+		return wide(s.mid, sideMid)
 	}
-	return wide(lo, sideLo) && wide(hi, sideHi)
+	return wide(s.lo, sideLo) && wide(s.hi, sideHi)
 }
 
 // validateDelta rejects deltas the maintained factor states cannot
@@ -753,19 +722,23 @@ const (
 	sideMid
 )
 
-// sideDense densifies one endpoint (or the midpoint) of a sparse batch
-// block — batches are small, so the dense block the factor update needs
-// is c×n (or m×c) transient.
-func sideDense(b *sparse.ICSR, side int) *matrix.Dense {
+// sideCSR is one endpoint (or the midpoint) of an interval matrix, the
+// matrix a factor side decomposes.
+func sideCSR(m *sparse.ICSR, side int) *sparse.CSR {
 	switch side {
 	case sideLo:
-		return b.LoCSR().ToDense()
+		return m.LoCSR()
 	case sideHi:
-		return b.HiCSR().ToDense()
+		return m.HiCSR()
 	default:
-		return b.MidCSR().ToDense()
+		return m.MidCSR()
 	}
 }
+
+// sideDense densifies one side of a sparse batch block — batches are
+// small, so the dense block the factor update needs is c×n (or m×c)
+// transient.
+func sideDense(b *sparse.ICSR, side int) *matrix.Dense { return sideCSR(b, side).ToDense() }
 
 // updateOperand plugs the maintained factor states into the shared
 // ISVD0-4 pipeline: the decomposition steps (svdMid, svdEndpoints,
@@ -777,8 +750,8 @@ func sideDense(b *sparse.ICSR, side int) *matrix.Dense {
 // on updated inputs, so an updated decomposition agrees with a full
 // re-decomposition to the accuracy of the factor states themselves.
 type updateOperand struct {
-	m           *sparse.ICSR
-	lo, hi, mid *eig.SVDResult
+	m *sparse.ICSR
+	sides
 }
 
 func (o updateOperand) rows() int            { return o.m.Rows }

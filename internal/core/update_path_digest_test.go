@@ -1,0 +1,196 @@
+package core
+
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/imatrix"
+	"repro/internal/parallel"
+	"repro/internal/sparse"
+)
+
+// updatePathChain returns a dense non-negative 30×22 base and a chain
+// that takes every Delta stage on its own, then a narrow slide:
+// forget, row and column appends, a patch, an unpatch, a patch with a
+// few tombstones (two Brand steps per side), and row and column
+// removals. Patch and tombstone cells never repeat within a delta.
+func updatePathChain() (*sparse.ICSR, []Delta) {
+	rng := rand.New(rand.NewSource(171))
+	const rows, cols = 30, 22
+	block := func(r, c int) *sparse.ICSR {
+		m := imatrix.New(r, c)
+		for i := range m.Lo.Data {
+			v := math.Abs(rng.NormFloat64())
+			m.Lo.Data[i] = v
+			m.Hi.Data[i] = v + 0.1
+		}
+		return sparse.FromIMatrix(m)
+	}
+	base := block(rows, cols)
+	// cells draws n distinct in-range cells of an r×c matrix, none of
+	// them in avoid.
+	cells := func(n, r, c int, avoid map[sparse.Cell]bool) []sparse.Cell {
+		var out []sparse.Cell
+		seen := map[sparse.Cell]bool{}
+		for len(out) < n {
+			cl := sparse.Cell{Row: rng.Intn(r), Col: rng.Intn(c)}
+			if seen[cl] || avoid[cl] {
+				continue
+			}
+			seen[cl] = true
+			out = append(out, cl)
+		}
+		return out
+	}
+	patch := func(cs []sparse.Cell) []sparse.ITriplet {
+		p := make([]sparse.ITriplet, len(cs))
+		for i, cl := range cs {
+			v := 2 * math.Abs(rng.NormFloat64())
+			p[i] = sparse.ITriplet{Row: cl.Row, Col: cl.Col, Lo: v, Hi: 1.2*v + 0.1}
+		}
+		return p
+	}
+	// After the appends the matrix is 31×23 and every cell is stored.
+	const r2, c2 = rows + 1, cols + 1
+	slideArrive := cells(4, r2, c2, nil)
+	arrived := map[sparse.Cell]bool{}
+	for _, cl := range slideArrive {
+		arrived[cl] = true
+	}
+	return base, []Delta{
+		{Forget: 0.9},
+		{AppendRows: block(1, cols)},
+		{AppendCols: block(rows+1, 1)},
+		{Patch: patch(cells(5, r2, c2, nil))},
+		{Unpatch: cells(3, r2, c2, nil)},
+		{Patch: patch(slideArrive), Unpatch: cells(2, r2, c2, arrived)},
+		{RemoveRows: []int{3, 17}},
+		{RemoveCols: []int{0}},
+	}
+}
+
+// stateDigest replays an update chain and hashes, per step, what
+// chainDigest leaves out: the stored matrix's ICSR arrays and every
+// Health field, escalation reason included (FNV-64a).
+func stateDigest(t *testing.T, d *Decomposition, deltas []Delta, opts Options) uint64 {
+	t.Helper()
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(x uint64) {
+		binary.LittleEndian.PutUint64(buf[:], x)
+		h.Write(buf[:])
+	}
+	for i, delta := range deltas {
+		var err error
+		if d, err = d.Update(delta, opts); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		m := d.state.m
+		put(uint64(m.Rows))
+		put(uint64(m.Cols))
+		for _, idx := range [][]int{m.RowPtr, m.ColInd} {
+			put(uint64(len(idx)))
+			for _, x := range idx {
+				put(uint64(x))
+			}
+		}
+		for _, vals := range [][]float64{m.Lo, m.Hi} {
+			for _, x := range vals {
+				put(math.Float64bits(x))
+			}
+		}
+		hl := d.Health()
+		for _, x := range []float64{hl.ResidualBudgetUsed, hl.OrthoDrift, hl.Cond} {
+			put(math.Float64bits(x))
+		}
+		for _, x := range []int{hl.Updates, hl.UpdatesSinceRefresh, hl.Refreshes, hl.Redecomposes} {
+			put(uint64(x))
+		}
+		h.Write([]byte(hl.LastEscalation + "\x00" + hl.LastEscalationReason + "\x00"))
+	}
+	return h.Sum64()
+}
+
+// TestUpdatePathDigests pins every path of Decomposition.Update bitwise:
+// each Delta stage on its own, a narrow two-step slide and two wide
+// merged slides, for ISVD0 (the midpoint side), ISVD1 and ISVD4 (the
+// endpoint pair), under the default budgets, no refresh at all, a
+// refresh on every update and a redecompose on every update. Each digest covers the published
+// factors and counters (chainDigest), the stored matrix and the full
+// Health report, and must not depend on the worker count.
+func TestUpdatePathDigests(t *testing.T) {
+	defer parallel.SetWorkers(0)
+	stageBase, stageDeltas := updatePathChain()
+	wideBase, wideDeltas := scatterWindowChain(2, 60)
+	chains := []struct {
+		name   string
+		base   *sparse.ICSR
+		deltas []Delta
+		rank   int
+	}{
+		{"stages", stageBase, stageDeltas, 5},
+		{"wide", wideBase, wideDeltas, 8},
+	}
+	regimes := []struct {
+		name string
+		opts Options
+	}{
+		{"default", Options{}},
+		{"never", Options{RefreshBudget: math.Inf(1)}},
+		{"refresh", Options{RefreshBudget: math.Inf(-1)}},
+		{"redecompose", Options{OrthoBudget: 1e-300}},
+	}
+	// Recorded before ApplyCells replaced the two-pass cell merge and one
+	// loop replaced the four side-health checks.
+	want := map[string]uint64{
+		"ISVD0/stages/default":     0x4554652d07f9fb17,
+		"ISVD0/stages/never":       0x1846288b93f7a563,
+		"ISVD0/stages/refresh":     0x6a2e88102d93e742,
+		"ISVD0/stages/redecompose": 0xd47550060e15099f,
+		"ISVD0/wide/default":       0xa8423dae7c78c06e,
+		"ISVD0/wide/never":         0xa8423dae7c78c06e,
+		"ISVD0/wide/refresh":       0x2c6fd388f7e248ad,
+		"ISVD0/wide/redecompose":   0x5b235ab7d4fb6073,
+		"ISVD1/stages/default":     0x503bbd7eabb48104,
+		"ISVD1/stages/never":       0xab7f9fff0f24c453,
+		"ISVD1/stages/refresh":     0xf5547f9dd3cc32f8,
+		"ISVD1/stages/redecompose": 0x04a7886f6cc3ccef,
+		"ISVD1/wide/default":       0x770d06579d95ee8c,
+		"ISVD1/wide/never":         0x770d06579d95ee8c,
+		"ISVD1/wide/refresh":       0xbf0606a0868971c9,
+		"ISVD1/wide/redecompose":   0x5e74e62d71e0cf07,
+		"ISVD4/stages/default":     0x9d91ff0536c13ee3,
+		"ISVD4/stages/never":       0x6c82cf77fe2455d4,
+		"ISVD4/stages/refresh":     0x7ce52e3d2aa8efca,
+		"ISVD4/stages/redecompose": 0x21ab1d9b9c805b77,
+		"ISVD4/wide/default":       0x8c64f08a446d6c34,
+		"ISVD4/wide/never":         0x8c64f08a446d6c34,
+		"ISVD4/wide/refresh":       0x7613e4bc8d3afdd6,
+		"ISVD4/wide/redecompose":   0x01a7628fe1719129,
+	}
+	for _, w := range []int{1, 3} {
+		parallel.SetWorkers(w)
+		for _, method := range []Method{ISVD0, ISVD1, ISVD4} {
+			for _, c := range chains {
+				base, err := DecomposeSparse(c.base, method, Options{Rank: c.rank, Target: TargetB, Updatable: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, rg := range regimes {
+					key := method.String() + "/" + c.name + "/" + rg.name
+					h := fnv.New64a()
+					var buf [16]byte
+					binary.LittleEndian.PutUint64(buf[:8], chainDigest(t, base, c.deltas, rg.opts))
+					binary.LittleEndian.PutUint64(buf[8:], stateDigest(t, base, c.deltas, rg.opts))
+					h.Write(buf[:])
+					if got := h.Sum64(); got != want[key] {
+						t.Errorf("%s at %d workers: digest %#x, want %#x", key, w, got, want[key])
+					}
+				}
+			}
+		}
+	}
+}

@@ -74,7 +74,7 @@ func streamPatch(m *sparse.ICSR, rows int, rng *rand.Rand) ([]sparse.ITriplet, *
 			patch = append(patch, sparse.ITriplet{Row: row, Col: col, Lo: old.Lo + d, Hi: old.Hi + 1.5*d})
 		}
 	}
-	patched, err := m.ApplyPatch(patch)
+	patched, err := m.ApplyCells(patch, nil)
 	if err != nil {
 		panic(err)
 	}
@@ -264,16 +264,16 @@ func TestRefreshPolicies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if never.UpdateResidual() <= 0 {
-		t.Fatalf("infinite-budget residual %g, want > 0 on full-spectrum data", never.UpdateResidual())
+	if never.Health().ResidualBudgetUsed <= 0 {
+		t.Fatalf("infinite-budget residual %g, want > 0 on full-spectrum data", never.Health().ResidualBudgetUsed)
 	}
 
 	always, err := d.Update(Delta{Patch: patch}, Options{RefreshBudget: math.Inf(-1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if always.UpdateResidual() != 0 {
-		t.Fatalf("negative-budget residual %g, want 0", always.UpdateResidual())
+	if always.Health().ResidualBudgetUsed != 0 {
+		t.Fatalf("negative-budget residual %g, want 0", always.Health().ResidualBudgetUsed)
 	}
 	ref, err := DecomposeSparse(after, ISVD1, opts)
 	if err != nil {
@@ -286,16 +286,16 @@ func TestRefreshPolicies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if auto.UpdateResidual() != 0 {
-		t.Fatalf("tripped budget residual %g, want 0", auto.UpdateResidual())
+	if auto.Health().ResidualBudgetUsed != 0 {
+		t.Fatalf("tripped budget residual %g, want 0", auto.Health().ResidualBudgetUsed)
 	}
 	checkDecompAgreement(t, auto, ref, 1e-6)
 	lax, err := d.Update(Delta{Patch: patch}, Options{RefreshBudget: 1e6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lax.UpdateResidual() <= 0 {
-		t.Fatalf("lax budget residual %g, want > 0", lax.UpdateResidual())
+	if lax.Health().ResidualBudgetUsed <= 0 {
+		t.Fatalf("lax budget residual %g, want > 0", lax.Health().ResidualBudgetUsed)
 	}
 }
 

@@ -158,10 +158,10 @@ func TestWindowSplitReplayEqualsWindow(t *testing.T) {
 			t.Fatalf("batch %d: %d arrivals but %d expiries — window size must stay constant",
 				k, len(b.Patch), len(b.Tombstones))
 		}
-		if cur, err = cur.ApplyPatch(b.Patch); err != nil {
+		if cur, err = cur.ApplyCells(b.Patch, nil); err != nil {
 			t.Fatalf("batch %d: %v", k, err)
 		}
-		if cur, err = cur.ApplyUnpatch(b.Tombstones); err != nil {
+		if cur, err = cur.ApplyCells(nil, b.Tombstones); err != nil {
 			t.Fatalf("batch %d: %v", k, err)
 		}
 		if cur.NNZ() != live {

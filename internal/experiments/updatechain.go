@@ -141,10 +141,7 @@ func runUpdateChain(cfg Config, sc chainScenario) (*Result, error) {
 		// Maintain the matrices the baselines recompute: the plain one,
 		// and the decayed one in the engine's apply order (decay first;
 		// arrivals land at full strength; expiries are value-independent).
-		if cur, err = cur.ApplyPatch(b.Patch); err == nil {
-			cur, err = cur.ApplyUnpatch(b.Tombstones)
-		}
-		if err != nil {
+		if cur, err = cur.ApplyCells(b.Patch, b.Tombstones); err != nil {
 			return nil, err
 		}
 		if sc.forget != 0 {
@@ -153,10 +150,7 @@ func runUpdateChain(cfg Config, sc chainScenario) (*Result, error) {
 				return nil, fmt.Errorf("%s: forget batch %d: %w", sc.name, k+1, err)
 			}
 			if decayed, err = decayed.Scale(sc.forget); err == nil {
-				decayed, err = decayed.ApplyPatch(b.Patch)
-			}
-			if err == nil {
-				decayed, err = decayed.ApplyUnpatch(b.Tombstones)
+				decayed, err = decayed.ApplyCells(b.Patch, b.Tombstones)
 			}
 			if err != nil {
 				return nil, err
@@ -176,7 +170,7 @@ func runUpdateChain(cfg Config, sc chainScenario) (*Result, error) {
 		speedups = append(speedups, sp)
 		tbl.addRow(fmt.Sprintf("%d", k+1), fmt.Sprintf("%d", len(b.Patch)), fmt.Sprintf("%d", len(b.Tombstones)),
 			fmt.Sprintf("%.2f", updTime.Seconds()*1000), fmt.Sprintf("%.2f", fullTime.Seconds()*1000),
-			fmt.Sprintf("%.1fx", sp), fmt.Sprintf("%.2e", d2.UpdateResidual()))
+			fmt.Sprintf("%.1fx", sp), fmt.Sprintf("%.2e", d2.Health().ResidualBudgetUsed))
 		d = d2
 	}
 	additiveGap := reconstructionGap(d, lastRef)

@@ -56,7 +56,7 @@ func TestApplyDeltaRefreshesLivePredictor(t *testing.T) {
 
 	// The refreshed predictor matches one built from scratch on the
 	// patched ratings.
-	patched, err := ratings.ApplyPatch(delta.Patch)
+	patched, err := ratings.ApplyCells(delta.Patch, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,8 +23,10 @@ import (
 
 // Persistence defaults.
 const (
-	// DefaultCompactEvery folds the write-ahead log into a fresh
-	// snapshot once it reaches this many records. BENCH_store.json puts
+	// DefaultCompactEvery bounds a tenant's write-ahead log: at this
+	// many records the executor folds it into a fresh snapshot
+	// generation, and after an escalated update it folds it at once
+	// when that retires no idempotency key. BENCH_store.json puts
 	// the replay-vs-cold crossover near 25 additive records in the
 	// reference regime; compacting well before that keeps recovery
 	// strictly cheaper than a cold boot. An escalated record can cost as
@@ -232,7 +234,7 @@ func (s *Service) persistUpdate(tenant string, meta *tenantMeta, next *Snapshot,
 		}
 	}
 	keyed := meta.genKeyed.Load() || len(rec.Acked) > 0
-	if s.cfg.CompactEvery > 0 && (records >= s.cfg.CompactEvery || escalated && !retires) {
+	if records >= DefaultCompactEvery || escalated && !retires {
 		if err := s.persistSnapshot(tenant, next.Decomp, smeta); err != nil {
 			s.metrics.addCounter(mStoreEvents, label("kind", "compaction_deferred"), 1)
 		} else {

@@ -299,14 +299,18 @@ func TestEscalatedUpdateCompacts(t *testing.T) {
 	}
 }
 
-// TestCompactionBoundsTheLog: with CompactEvery=2, four updates must
-// fold the log twice, so a reboot replays zero records.
+// TestCompactionBoundsTheLog: 2·DefaultCompactEvery updates must fold
+// the log twice, so a reboot replays zero records. The tenant runs
+// ISVD1, whose refresh-never patches here never escalate, so only the
+// record count folds the log.
 func TestCompactionBoundsTheLog(t *testing.T) {
 	fs := store.NewMemFS()
-	s := persistService(t, fs, Config{CompactEvery: 2})
+	s := persistService(t, fs, Config{})
 	s.Start()
-	decomposeTenant(t, s, "t")
-	for k := 1; k <= 4; k++ {
+	req := decomposeReq(t, "t")
+	req.Method = "ISVD1"
+	waitJob(t, s, mustSubmit(t, s, req).ID)
+	for k := 1; k <= 2*DefaultCompactEvery; k++ {
 		info := submitPatch(t, s, "t", k)
 		waitJob(t, s, info.ID)
 	}
@@ -325,7 +329,7 @@ func TestCompactionBoundsTheLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Seq != 5 || rec.Replayed != 0 {
-		t.Fatalf("recovered seq %d with %d replayed records, want 5 and 0", rec.Seq, rec.Replayed)
+	if rec.Seq != 2*DefaultCompactEvery+1 || rec.Replayed != 0 {
+		t.Fatalf("recovered seq %d with %d replayed records, want %d and 0", rec.Seq, rec.Replayed, 2*DefaultCompactEvery+1)
 	}
 }

@@ -51,12 +51,6 @@ type Config struct {
 	// acknowledged, and boot recovers all tenants from disk. Empty
 	// disables persistence.
 	DataDir string
-	// CompactEvery bounds a tenant's write-ahead log: at this many
-	// records the executor folds the log into a fresh snapshot
-	// generation, and after an escalated update it folds it at once
-	// when that retires no idempotency key. 0 means
-	// DefaultCompactEvery; negative disables compaction.
-	CompactEvery int
 	// PersistRetries is how many times a failed store write is retried
 	// before the job fails; PersistBackoff is the initial retry delay,
 	// doubling per attempt. Zero values mean the defaults.
@@ -136,9 +130,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Clock == nil {
 		c.Clock = time.Now
-	}
-	if c.CompactEvery == 0 {
-		c.CompactEvery = DefaultCompactEvery
 	}
 	if c.PersistRetries == 0 {
 		c.PersistRetries = DefaultPersistRetries

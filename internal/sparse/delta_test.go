@@ -2,9 +2,13 @@ package sparse
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/imatrix"
+	"repro/internal/interval"
 )
 
 func randomICSR(rows, cols, nnz int, rng *rand.Rand) *ICSR {
@@ -18,75 +22,136 @@ func randomICSR(rows, cols, nnz int, rng *rand.Rand) *ICSR {
 	return FromIMatrix(m)
 }
 
-// TestApplyPatchMatchesDense: patching the ICSR equals patching the
-// dense expansion cell-for-cell, for stored and unstored targets.
-func TestApplyPatchMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	a := randomICSR(12, 9, 30, rng)
-	want := a.ToIMatrix()
-	patch := []ITriplet{
-		{Row: 0, Col: 0, Lo: 5, Hi: 6},      // likely unstored corner
-		{Row: 3, Col: 4, Lo: -1, Hi: 1},     // arbitrary cell
-		{Row: 11, Col: 8, Lo: 2.5, Hi: 2.5}, // last cell
-		{Row: 7, Col: 2, Lo: 0, Hi: 0},      // explicit observed zero
-	}
-	for _, p := range patch {
-		want.Lo.Set(p.Row, p.Col, p.Lo)
-		want.Hi.Set(p.Row, p.Col, p.Hi)
-	}
-	got, err := a.ApplyPatch(patch)
+// TestApplyCells checks one batch merge against a dense reference — the
+// matrix expanded with a stored-cell mask, the patch written in (set
+// semantics), the tombstones cleared — for patch-only, tombstone-only
+// and mixed batches, and every rejected batch by its error.
+func TestApplyCells(t *testing.T) {
+	a, err := FromICOO(6, 5, []ITriplet{
+		{Row: 0, Col: 0, Lo: 1, Hi: 2},
+		{Row: 0, Col: 3, Lo: 0.5, Hi: 0.7},
+		{Row: 1, Col: 2, Lo: -1, Hi: 1},
+		{Row: 2, Col: 1, Lo: 0, Hi: 0}, // stored explicit zero
+		{Row: 3, Col: 0, Lo: 2, Hi: 3},
+		{Row: 3, Col: 4, Lo: 4, Hi: 4},
+		{Row: 5, Col: 2, Lo: 1, Hi: 1.5},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 12; i++ {
-		for j := 0; j < 9; j++ {
-			g := got.At(i, j)
-			if g.Lo != want.Lo.At(i, j) || g.Hi != want.Hi.At(i, j) {
-				t.Fatalf("cell (%d,%d): got [%g,%g] want [%g,%g]", i, j, g.Lo, g.Hi, want.Lo.At(i, j), want.Hi.At(i, j))
+	// A wide random batch on a random matrix: every stored cell of
+	// rows 1, 4 and 7 tombstoned, every unstored cell of rows 2 and 7
+	// and every stored cell of row 5 patched.
+	r := randomICSR(9, 7, 30, rand.New(rand.NewSource(41)))
+	var rPatch []ITriplet
+	var rDead []Cell
+	for i := 0; i < r.Rows; i++ {
+		cols, _, _ := r.RowView(i)
+		stored := map[int]bool{}
+		for _, j := range cols {
+			stored[j] = true
+		}
+		for j := 0; j < r.Cols; j++ {
+			switch {
+			case stored[j] && (i == 1 || i == 4 || i == 7):
+				rDead = append(rDead, Cell{Row: i, Col: j})
+			case stored[j] && i == 5, !stored[j] && (i == 2 || i == 7):
+				rPatch = append(rPatch, ITriplet{Row: i, Col: j, Lo: float64(i), Hi: float64(i + j)})
 			}
 		}
 	}
-	// The [0,0] patch must be STORED (observed zero), not dropped.
-	found := false
-	cols, lo, hi := got.RowView(7)
-	for p, c := range cols {
-		if c == 2 && lo[p] == 0 && hi[p] == 0 {
-			found = true
-		}
+	if len(rPatch) == 0 || len(rDead) == 0 {
+		t.Fatalf("random batch has %d patch cells and %d tombstones; pick another seed", len(rPatch), len(rDead))
 	}
-	if !found {
-		t.Error("explicit [0,0] patch was not stored")
-	}
-	// Structure stays valid CSR (strictly ascending columns).
-	for i := 0; i < got.Rows; i++ {
-		cs, _, _ := got.RowView(i)
-		for p := 1; p < len(cs); p++ {
-			if cs[p] <= cs[p-1] {
-				t.Fatalf("row %d: columns not strictly ascending", i)
+	// Reverse both lists: the merge must not depend on input order.
+	slices.Reverse(rPatch)
+	slices.Reverse(rDead)
+
+	for _, c := range []struct {
+		name    string
+		a       *ICSR
+		patch   []ITriplet
+		dead    []Cell
+		wantErr string
+	}{
+		{name: "empty", a: a},
+		{name: "patch only", a: a, patch: []ITriplet{
+			{Row: 4, Col: 1, Lo: 5, Hi: 6},     // unstored, empty row
+			{Row: 0, Col: 3, Lo: -2, Hi: -1},   // over a stored cell
+			{Row: 5, Col: 4, Lo: 2.5, Hi: 2.5}, // last cell
+			{Row: 1, Col: 0, Lo: 0, Hi: 0},     // explicit observed zero
+			{Row: 0, Col: 1, Lo: 7, Hi: 8},     // between stored cells
+		}},
+		{name: "tombstones only", a: a, dead: []Cell{
+			{Row: 3, Col: 4}, {Row: 2, Col: 1}, // a stored zero is removable
+			{Row: 0, Col: 0},
+		}},
+		{name: "both", a: a,
+			patch: []ITriplet{{Row: 0, Col: 1, Lo: 1, Hi: 1}, {Row: 3, Col: 0, Lo: 9, Hi: 9}, {Row: 4, Col: 4, Lo: 3, Hi: 4}},
+			dead:  []Cell{{Row: 0, Col: 0}, {Row: 3, Col: 4}, {Row: 0, Col: 3}, {Row: 5, Col: 2}},
+		},
+		{name: "random batch", a: r, patch: rPatch, dead: rDead},
+
+		{name: "patch row out of range", a: a, patch: []ITriplet{{Row: 6, Col: 0}}, wantErr: "patch cell (6, 0) outside"},
+		{name: "patch col negative", a: a, patch: []ITriplet{{Row: 0, Col: -1}}, wantErr: "patch cell (0, -1) outside"},
+		{name: "duplicate patch", a: a, patch: []ITriplet{{Row: 1, Col: 1, Lo: 1, Hi: 1}, {Row: 1, Col: 1, Lo: 2, Hi: 2}},
+			wantErr: "duplicate patch cell (1, 1)"},
+		{name: "tombstone row out of range", a: a, dead: []Cell{{Row: 6, Col: 0}}, wantErr: "tombstone cell (6, 0) outside"},
+		{name: "tombstone col negative", a: a, dead: []Cell{{Row: 0, Col: -1}}, wantErr: "tombstone cell (0, -1) outside"},
+		{name: "duplicate tombstone", a: a, dead: []Cell{{Row: 0, Col: 0}, {Row: 0, Col: 0}}, wantErr: "duplicate tombstone cell (0, 0)"},
+		{name: "never-inserted tombstone", a: a, dead: []Cell{{Row: 0, Col: 0}, {Row: 1, Col: 1}}, wantErr: "never-inserted cell (1, 1)"},
+		{name: "stored cell in both lists", a: a,
+			patch: []ITriplet{{Row: 1, Col: 2, Lo: 3, Hi: 3}}, dead: []Cell{{Row: 1, Col: 2}},
+			wantErr: "cell (1, 2) is both patched and tombstoned"},
+		{name: "inserted cell in both lists", a: a,
+			patch: []ITriplet{{Row: 4, Col: 0, Lo: 3, Hi: 3}}, dead: []Cell{{Row: 4, Col: 0}},
+			wantErr: "cell (4, 0) is both patched and tombstoned"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			before := &ICSR{Rows: c.a.Rows, Cols: c.a.Cols, RowPtr: slices.Clone(c.a.RowPtr),
+				ColInd: slices.Clone(c.a.ColInd), Lo: slices.Clone(c.a.Lo), Hi: slices.Clone(c.a.Hi)}
+			got, err := c.a.ApplyCells(c.patch, c.dead)
+			if !reflect.DeepEqual(c.a, before) {
+				t.Fatal("ApplyCells mutated its receiver")
 			}
-		}
-	}
-	// The original is untouched.
-	orig := randomICSR(12, 9, 30, rand.New(rand.NewSource(41)))
-	for p := range a.Lo {
-		if a.Lo[p] != orig.Lo[p] || a.Hi[p] != orig.Hi[p] || a.ColInd[p] != orig.ColInd[p] {
-			t.Fatal("ApplyPatch mutated its receiver")
-		}
+			if c.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+					t.Fatalf("error %v, want one containing %q", err, c.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := denseCells(c.a)
+			for _, p := range c.patch {
+				want[p.Row][p.Col] = &interval.Interval{Lo: p.Lo, Hi: p.Hi}
+			}
+			for _, d := range c.dead {
+				want[d.Row][d.Col] = nil
+			}
+			if g := denseCells(got); !reflect.DeepEqual(g, want) {
+				t.Fatalf("stored cells\n%v\nwant\n%v", g, want)
+			}
+			if err := got.CheckStructure(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
-func TestApplyPatchErrors(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	a := randomICSR(5, 5, 8, rng)
-	if _, err := a.ApplyPatch([]ITriplet{{Row: 5, Col: 0}}); err == nil {
-		t.Error("out-of-range row accepted")
+// denseCells expands a into a dense grid of its stored cells, nil where
+// no cell is stored.
+func denseCells(a *ICSR) [][]*interval.Interval {
+	out := make([][]*interval.Interval, a.Rows)
+	for i := range out {
+		out[i] = make([]*interval.Interval, a.Cols)
+		cols, lo, hi := a.RowView(i)
+		for p, j := range cols {
+			out[i][j] = &interval.Interval{Lo: lo[p], Hi: hi[p]}
+		}
 	}
-	if _, err := a.ApplyPatch([]ITriplet{{Row: 0, Col: -1}}); err == nil {
-		t.Error("negative col accepted")
-	}
-	if _, err := a.ApplyPatch([]ITriplet{{Row: 1, Col: 1, Lo: 1, Hi: 1}, {Row: 1, Col: 1, Lo: 2, Hi: 2}}); err == nil {
-		t.Error("duplicate patch cell accepted")
-	}
+	return out
 }
 
 func TestAppendRowsCols(t *testing.T) {

@@ -6,66 +6,10 @@ import (
 	"sort"
 )
 
-// Decremental merges for the sliding-window paths. Like the operations
-// in delta.go these are serial index-ordered sweeps over the stored
-// entries — O(NNZ + delta), immutable inputs, trivially deterministic.
-
-// Cell addresses one matrix cell; it is the payload of a tombstone
-// record (a deletion has no value, only a position).
-type Cell struct {
-	Row, Col int
-}
-
-// ApplyUnpatch returns a new ICSR with the given cells deleted (the
-// cell reverts to "unobserved"). Every tombstoned cell must currently
-// be stored: a tombstone for a never-inserted cell is an error, since
-// it means the stream and the model disagree about history. Duplicate
-// cells within one batch and out-of-range indices are also errors.
-func (a *ICSR) ApplyUnpatch(cells []Cell) (*ICSR, error) {
-	sorted := make([]Cell, len(cells))
-	copy(sorted, cells)
-	sort.Slice(sorted, func(x, y int) bool {
-		if sorted[x].Row != sorted[y].Row {
-			return sorted[x].Row < sorted[y].Row
-		}
-		return sorted[x].Col < sorted[y].Col
-	})
-	for k, c := range sorted {
-		if c.Row < 0 || c.Row >= a.Rows || c.Col < 0 || c.Col >= a.Cols {
-			return nil, fmt.Errorf("sparse: ApplyUnpatch: cell (%d, %d) outside %dx%d", c.Row, c.Col, a.Rows, a.Cols)
-		}
-		if k > 0 && c.Row == sorted[k-1].Row && c.Col == sorted[k-1].Col {
-			return nil, fmt.Errorf("sparse: ApplyUnpatch: duplicate cell (%d, %d)", c.Row, c.Col)
-		}
-	}
-	out := &ICSR{
-		Rows:   a.Rows,
-		Cols:   a.Cols,
-		RowPtr: make([]int, a.Rows+1),
-		ColInd: make([]int, 0, a.NNZ()-len(sorted)),
-		Lo:     make([]float64, 0, a.NNZ()-len(sorted)),
-		Hi:     make([]float64, 0, a.NNZ()-len(sorted)),
-	}
-	p := 0 // next tombstone
-	for i := 0; i < a.Rows; i++ {
-		cols, lo, hi := a.RowView(i)
-		for q, j := range cols {
-			if p < len(sorted) && sorted[p].Row == i && sorted[p].Col == j {
-				p++ // deleted
-				continue
-			}
-			out.ColInd = append(out.ColInd, j)
-			out.Lo = append(out.Lo, lo[q])
-			out.Hi = append(out.Hi, hi[q])
-		}
-		if p < len(sorted) && sorted[p].Row == i {
-			c := sorted[p]
-			return nil, fmt.Errorf("sparse: ApplyUnpatch: tombstone for never-inserted cell (%d, %d)", c.Row, c.Col)
-		}
-		out.RowPtr[i+1] = len(out.ColInd)
-	}
-	return out, nil
-}
+// Decremental operations for the sliding-window paths (cell tombstones
+// merge in with ApplyCells, delta.go). Like the operations in delta.go
+// these are serial index-ordered sweeps over the stored entries —
+// O(NNZ + delta), immutable inputs, trivially deterministic.
 
 // Scale returns the matrix with every stored endpoint multiplied by
 // c, which must be positive and finite so interval order is preserved.

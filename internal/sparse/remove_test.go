@@ -5,84 +5,6 @@ import (
 	"testing"
 )
 
-// TestApplyUnpatchMatchesDense: tombstoning stored cells equals zeroing
-// them in the dense expansion, the storage shrinks by exactly the
-// tombstone count, and the receiver is untouched.
-func TestApplyUnpatchMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	a := randomICSR(12, 9, 40, rng)
-	// Pick three stored cells (first of rows 2, 5, 9 — dense enough at
-	// nnz 40 that those rows are occupied for this seed).
-	var cells []Cell
-	for _, i := range []int{2, 5, 9} {
-		cols, _, _ := a.RowView(i)
-		if len(cols) == 0 {
-			t.Fatalf("seed row %d empty; pick another seed", i)
-		}
-		cells = append(cells, Cell{Row: i, Col: cols[0]})
-	}
-	got, err := a.ApplyUnpatch(cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NNZ() != a.NNZ()-len(cells) {
-		t.Fatalf("NNZ %d, want %d", got.NNZ(), a.NNZ()-len(cells))
-	}
-	dead := make(map[Cell]bool, len(cells))
-	for _, c := range cells {
-		dead[c] = true
-	}
-	for i := 0; i < a.Rows; i++ {
-		for j := 0; j < a.Cols; j++ {
-			want := a.At(i, j)
-			if dead[Cell{Row: i, Col: j}] {
-				want.Lo, want.Hi = 0, 0
-			}
-			if got.At(i, j) != want {
-				t.Fatalf("cell (%d,%d) after unpatch: %v", i, j, got.At(i, j))
-			}
-		}
-		// Tombstoned cells revert to UNOBSERVED: no storage remains.
-		cols, _, _ := got.RowView(i)
-		for _, j := range cols {
-			if dead[Cell{Row: i, Col: j}] {
-				t.Fatalf("tombstoned cell (%d,%d) still stored", i, j)
-			}
-		}
-	}
-	orig := randomICSR(12, 9, 40, rand.New(rand.NewSource(53)))
-	for p := range a.Lo {
-		if a.Lo[p] != orig.Lo[p] || a.ColInd[p] != orig.ColInd[p] {
-			t.Fatal("ApplyUnpatch mutated its receiver")
-		}
-	}
-}
-
-func TestApplyUnpatchErrors(t *testing.T) {
-	a, err := FromICOO(4, 3, []ITriplet{
-		{Row: 0, Col: 0, Lo: 1, Hi: 2},
-		{Row: 2, Col: 1, Lo: 0, Hi: 0}, // stored explicit zero
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A stored explicit zero is removable — storedness, not value,
-	// decides.
-	if _, err := a.ApplyUnpatch([]Cell{{Row: 2, Col: 1}}); err != nil {
-		t.Errorf("tombstone for stored zero rejected: %v", err)
-	}
-	for name, cells := range map[string][]Cell{
-		"never-inserted": {{Row: 1, Col: 1}},
-		"out-of-range":   {{Row: 4, Col: 0}},
-		"negative":       {{Row: 0, Col: -1}},
-		"duplicate":      {{Row: 0, Col: 0}, {Row: 0, Col: 0}},
-	} {
-		if _, err := a.ApplyUnpatch(cells); err == nil {
-			t.Errorf("ApplyUnpatch accepted %s tombstone", name)
-		}
-	}
-}
-
 // TestScale: every stored endpoint scales, structure is shared, and
 // non-positive or infinite factors are rejected.
 func TestScale(t *testing.T) {

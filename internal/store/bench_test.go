@@ -85,7 +85,7 @@ func benchStore(b *testing.B, dir string, m *sparse.ICSR, deltas int) *core.Deco
 		if _, err := s.AppendDelta("bench", rec); err != nil {
 			b.Fatal(err)
 		}
-		if cur, err = cur.ApplyPatch(rec.Delta.Patch); err != nil {
+		if cur, err = cur.ApplyCells(rec.Delta.Patch, nil); err != nil {
 			b.Fatal(err)
 		}
 		if d, err = d.Update(rec.Delta, core.Options{RefreshBudget: math.Inf(1)}); err != nil {

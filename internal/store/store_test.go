@@ -263,7 +263,7 @@ func makeChain(t testing.TB, method core.Method, deltas int) *chain {
 			Delta: core.Delta{Patch: testPatch(cur, i+1)},
 		}
 		var err error
-		cur, err = cur.ApplyPatch(rec.Delta.Patch)
+		cur, err = cur.ApplyCells(rec.Delta.Patch, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -83,8 +83,10 @@ func (e *IllConditionedError) inherited() bool {
 		2*e.InputOrthoResidual >= e.OrthoResidual
 }
 
-// factorDrift is the worst ‖QᵀQ−I‖∞ over both factors of f.
-func factorDrift(f *eig.SVDResult) float64 {
+// FactorDrift is the worst ‖QᵀQ−I‖∞ over both factors of f: the one
+// orthogonality-drift measure of the downdate checks and of the
+// engine's health gate (internal/core).
+func FactorDrift(f *eig.SVDResult) float64 {
 	return math.Max(OrthoResidual(f.U, f.S), OrthoResidual(f.V, f.S))
 }
 
@@ -121,7 +123,7 @@ func RemoveRows(f *eig.SVDResult, rows []int, rank int) (*eig.SVDResult, float64
 		}
 	}
 	mass := vecNorm(w.Data)
-	smin := sigmaMinNonzero(f.S)
+	smin := SigmaMinNonzero(f.S)
 
 	p := matrix.New(m, c)
 	for k, i := range sorted {
@@ -175,7 +177,7 @@ func RemoveRows(f *eig.SVDResult, rows []int, rank int) (*eig.SVDResult, float64
 	if zres > downdateZeroTol || ortho > downdateOrthoTol {
 		return nil, 0, &IllConditionedError{
 			Op: "RemoveRows", RemovedMass: mass, SigmaMin: smin,
-			ZeroResidual: zres, OrthoResidual: ortho, InputOrthoResidual: factorDrift(f),
+			ZeroResidual: zres, OrthoResidual: ortho, InputOrthoResidual: FactorDrift(f),
 		}
 	}
 	return &eig.SVDResult{U: u, S: res.S, V: res.V}, disc, nil
@@ -239,10 +241,10 @@ func signedPatch(op string, f *eig.SVDResult, arrivals, tombstones []sparse.Trip
 	if err := CheckFinite(res); err != nil {
 		return nil, 0, fmt.Errorf("update: %s: %w", op, err)
 	}
-	if ortho := factorDrift(res); ortho > downdateOrthoTol {
+	if ortho := FactorDrift(res); ortho > downdateOrthoTol {
 		return nil, 0, &IllConditionedError{
-			Op: op, RemovedMass: math.Sqrt(massSq), SigmaMin: sigmaMinNonzero(f.S),
-			OrthoResidual: ortho, InputOrthoResidual: factorDrift(f),
+			Op: op, RemovedMass: math.Sqrt(massSq), SigmaMin: SigmaMinNonzero(f.S),
+			OrthoResidual: ortho, InputOrthoResidual: FactorDrift(f),
 		}
 	}
 	return res, disc, nil
@@ -314,9 +316,9 @@ func OrthoResidual(q *matrix.Dense, s []float64) float64 {
 	return worst
 }
 
-// sigmaMinNonzero returns the smallest non-zero singular value, or 0 if
-// the spectrum is entirely zero.
-func sigmaMinNonzero(s []float64) float64 {
+// SigmaMinNonzero returns the smallest non-zero singular value of a
+// descending spectrum, or 0 if the spectrum is entirely zero.
+func SigmaMinNonzero(s []float64) float64 {
 	for i := len(s) - 1; i >= 0; i-- {
 		if s[i] > 0 {
 			return s[i]

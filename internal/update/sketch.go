@@ -103,17 +103,7 @@ func sketchedPatch(f *eig.SVDResult, cells []sparse.Triplet, rank, k int) (*eig.
 	if lost > 0 {
 		disc = math.Sqrt(disc*disc + lost)
 	}
-
-	u := matrix.Add(
-		matrix.Mul(f.U, uk.SubMatrix(0, r, 0, rank)),
-		matrix.Mul(p, uk.SubMatrix(r, kc.Rows, 0, rank)),
-	)
-	v := matrix.Add(
-		matrix.Mul(f.V, vk.SubMatrix(0, r, 0, rank)),
-		matrix.Mul(q, vk.SubMatrix(r, r+k, 0, rank)),
-	)
-	canonicalizePairSigns(u, v)
-	return &eig.SVDResult{U: u, S: s, V: v}, disc, nil
+	return rotate(f, p, q, uk, s, vk), disc, nil
 }
 
 // axpy adds a·x to y in place (len(x) = len(y)).

@@ -25,7 +25,8 @@
 // small (r+c)×(r+c) core matrix and decompose it through the existing
 // dense eig.SymEig (as the eigensolver of KᵀK, with the left factor
 // recovered by one small product); (3) rotate the extended bases by the
-// core factors and truncate back to the target rank. All O(matrix-dim)
+// core factors and truncate back to the target rank (rotate, shared by
+// the exact and the sketched cell steps). All O(matrix-dim)
 // products run on the pool-sharded blocked kernels of internal/matrix,
 // so every update is bitwise identical for any worker count.
 //
@@ -35,7 +36,8 @@
 // singular mass; the per-update Discarded return value measures it, and
 // the engine in internal/core accumulates it against a residual budget
 // to schedule warm-started full refreshes (eig.RoutedSVD with
-// Options.StartU/StartV).
+// Options.StartU/StartV). The downdates' orthogonality check and the
+// engine's health gate share one drift measure, FactorDrift.
 //
 //ivmf:deterministic
 package update
@@ -158,17 +160,25 @@ func LowRank(f *eig.SVDResult, p, q *matrix.Dense, rank int) (*eig.SVDResult, fl
 	if err != nil {
 		return nil, 0, err
 	}
+	return rotate(f, pj, qk, uk, s, vk), disc, nil
+}
 
+// rotate is the tail of an additive Brand step: the extended bases
+// [U P] and [V Q] rotated by the rank-truncated core factors uk, vk
+// (whose leading r rows act on U and V, the rest on P and Q), with the
+// pairs oriented in eig.SVD's sign convention.
+func rotate(f *eig.SVDResult, p, q, uk *matrix.Dense, s []float64, vk *matrix.Dense) *eig.SVDResult {
+	r, rank := len(f.S), len(s)
 	u := matrix.Add(
 		matrix.Mul(f.U, uk.SubMatrix(0, r, 0, rank)),
-		matrix.Mul(pj, uk.SubMatrix(r, r+c, 0, rank)),
+		matrix.Mul(p, uk.SubMatrix(r, uk.Rows, 0, rank)),
 	)
 	v := matrix.Add(
 		matrix.Mul(f.V, vk.SubMatrix(0, r, 0, rank)),
-		matrix.Mul(qk, vk.SubMatrix(r, r+c, 0, rank)),
+		matrix.Mul(q, vk.SubMatrix(r, vk.Rows, 0, rank)),
 	)
 	canonicalizePairSigns(u, v)
-	return &eig.SVDResult{U: u, S: s, V: v}, disc, nil
+	return &eig.SVDResult{U: u, S: s, V: v}
 }
 
 // CellPatch returns the rank-truncated SVD of A + ΔA where ΔA holds the

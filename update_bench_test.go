@@ -159,7 +159,7 @@ func BenchmarkWarmStartTruncatedSVD(b *testing.B) {
 		}
 		// Drift: scale one small row batch, ~0.1% of NNZ — the
 		// accumulated-drift scale at which the default budget re-solves.
-		drifted, err := m.ApplyPatch(rowBatch(m, 0.001).Patch)
+		drifted, err := m.ApplyCells(rowBatch(m, 0.001).Patch, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
