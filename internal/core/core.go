@@ -131,9 +131,11 @@ type Options struct {
 	RefreshBudget float64
 	// OrthoBudget is the numerical-health guardrail on the factor
 	// states' orthogonality drift ‖QᵀQ−I‖∞, read by Update like
-	// RefreshBudget (0 = the 1e-8 default). An update whose additive
-	// result drifts past it escalates to a full windowed redecompose,
-	// whatever the RefreshBudget — see core/update.go.
+	// RefreshBudget (0 = the 1e-8 default). It is the engine's only
+	// orthogonality check: an update whose additive result — patches,
+	// tombstones and removals alike — drifts past it escalates to a
+	// full windowed redecompose, whatever the RefreshBudget — see
+	// core/update.go.
 	OrthoBudget float64
 	// ExactAlgebra switches ISVD2-4 and TargetA reconstruction from the
 	// paper's Algorithm 1 endpoint products (min/max over the endpoint

@@ -221,13 +221,14 @@ func TestEscalationLadder(t *testing.T) {
 }
 
 // TestIllConditionedDowndateEscalates drives the window-churn regime
-// the downdate guardrail exists for: a row carrying six orders of
-// magnitude more mass than the rest arrives additively, then expires.
-// Removing it cancels nearly the whole spectrum against the trailing
-// directions, the factor downdate is ill-conditioned, and the engine
-// must abandon the additive chain and redecompose the windowed matrix —
-// even under an infinite RefreshBudget, which disables budget refreshes
-// but not the guardrails. The caller sees a successful update, never an error and
+// the removal's zeroing check exists for: a row carrying twelve orders
+// of magnitude more mass than the rest arrives additively, then
+// expires. Removing it cancels nearly the whole spectrum against the
+// trailing directions, the updated factors still claim part of the
+// removed row (its zeroing residual), and the engine must abandon the
+// additive chain and redecompose the windowed matrix — even under an
+// infinite RefreshBudget, which disables budget refreshes but not the
+// guardrails. The caller sees a successful update, never an error and
 // never damaged factors.
 func TestIllConditionedDowndateEscalates(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
@@ -245,7 +246,7 @@ func TestIllConditionedDowndateEscalates(t *testing.T) {
 	}
 	row := imatrix.New(1, 8)
 	for j := 0; j < 8; j++ {
-		v := 1e6 * math.Abs(rng.NormFloat64())
+		v := 1e12 * math.Abs(rng.NormFloat64())
 		row.Lo.Set(0, j, v)
 		row.Hi.Set(0, j, v*1.2)
 	}
@@ -268,8 +269,10 @@ func TestIllConditionedDowndateEscalates(t *testing.T) {
 	if h.Redecomposes != 1 || h.LastEscalation != "redecompose" {
 		t.Fatalf("health after ill-conditioned downdate: %+v", h)
 	}
-	if !strings.Contains(h.LastEscalationReason, "ill-conditioned") {
-		t.Errorf("escalation reason %q does not name the ill-conditioning", h.LastEscalationReason)
+	for _, want := range []string{"RemoveRows", "zero residual"} {
+		if !strings.Contains(h.LastEscalationReason, want) {
+			t.Errorf("escalation reason %q does not name %q", h.LastEscalationReason, want)
+		}
 	}
 	// Appending the row and expiring it leaves exactly the original
 	// matrix, and the escalated redecompose is pinned bitwise to a cold
@@ -279,6 +282,78 @@ func TestIllConditionedDowndateEscalates(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkDecompBitwise(t, d2, ref, "ill-conditioned redecompose")
+}
+
+// TestDriftGuardrailEscalates pins the engine's one orthogonality
+// check, the health gate against OrthoBudget: factors that already
+// drifted 1e-6 past orthonormality go through a narrow unpatch, a wide
+// merged slide, a row removal or a column removal, and every one of
+// them escalates to exactly one redecompose of the final window,
+// bitwise a cold decompose of it, with the gate's reason — even under
+// an infinite RefreshBudget. A caller whose OrthoBudget tolerates the
+// drift gets the unpatch published additively: no step overrules the
+// budget with a tolerance of its own.
+func TestDriftGuardrailEscalates(t *testing.T) {
+	sp, deltas := scatterWindowChain(1, 60)
+	opts := Options{Rank: 8, Target: TargetB, Updatable: true}
+	never := Options{RefreshBudget: math.Inf(1)}
+	lax := Options{RefreshBudget: math.Inf(1), OrthoBudget: 1e6}
+	unpatch := Delta{Unpatch: deltas[0].Unpatch[:5]}
+	for _, c := range []struct {
+		name     string
+		delta    Delta
+		opts     Options
+		additive bool
+	}{
+		{"unpatch", unpatch, never, false},
+		{"merged slide", deltas[0], never, false},
+		{"remove rows", Delta{RemoveRows: []int{3, 150}}, never, false},
+		{"remove cols", Delta{RemoveCols: []int{0, 77}}, never, false},
+		{"unpatch under a lax budget", unpatch, lax, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			d, err := DecomposeSparse(sp, ISVD4, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.delta.Patch != nil {
+				_, arrive, expire, err := cellDeltas(d.state.m, c.delta)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slideMerges(d.state.sides, arrive, expire, opts.Rank) {
+					t.Fatal("the slide does not take the merged step")
+				}
+			}
+			u := d.state.lo.U
+			for i := 0; i < u.Rows; i++ {
+				u.Data[i*u.Cols] *= 1 + 1e-6
+			}
+			got, err := d.Update(c.delta, c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := got.Health()
+			if c.additive {
+				if h.Redecomposes != 0 || h.Refreshes != 0 {
+					t.Fatalf("lax budget: %d redecomposes, %d refreshes (%s); want the unpatch published additively",
+						h.Redecomposes, h.Refreshes, h.LastEscalationReason)
+				}
+				return
+			}
+			if h.Redecomposes != 1 || h.Refreshes != 0 {
+				t.Fatalf("%d redecomposes, %d refreshes; want exactly 1 redecompose (%s)", h.Redecomposes, h.Refreshes, h.LastEscalationReason)
+			}
+			if !strings.Contains(h.LastEscalationReason, "orthogonality drift") {
+				t.Errorf("escalation reason %q does not name the orthogonality drift", h.LastEscalationReason)
+			}
+			cold, err := DecomposeSparse(got.state.m, ISVD4, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkDecompBitwise(t, got, cold, "redecompose after a drifted "+c.name)
+		})
+	}
 }
 
 // TestPoisonedStateNeverPublishes: a non-finite factor entry fails the

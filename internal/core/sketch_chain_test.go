@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"strings"
 	"testing"
 
 	"repro/internal/eig"
@@ -138,9 +137,9 @@ func TestSketchedWindowChain(t *testing.T) {
 }
 
 // slideBy replays the additive path of Update for a cell-only delta
-// with the given per-side cell step: the per-side cell deltas, the step
-// on each endpoint state, and the pipeline re-run from the stepped
-// states.
+// with the given per-side cell step: the per-side cell deltas (arrivals
+// and negated tombstones, both additive), the step on each endpoint
+// state, and the pipeline re-run from the stepped states.
 func slideBy(t *testing.T, d *Decomposition, delta Delta,
 	step func(f *eig.SVDResult, arrive, expire []sparse.Triplet) (*eig.SVDResult, float64, error)) *Decomposition {
 	t.Helper()
@@ -166,9 +165,10 @@ func slideBy(t *testing.T, d *Decomposition, delta Delta,
 
 // TestSketchedSlideMergesWideHalves pins which Brand steps a window
 // slide takes. When both halves are wide on both sides, Update folds
-// them into one signed step (update.CellSlide) per side — bitwise the
-// merged replay, not the two-step one. When either half is narrow it
-// keeps the two steps, CellPatch then CellUnpatch, bit for bit.
+// them into one signed CellPatch per side (arrivals, then tombstones) —
+// bitwise the merged replay, not the two-step one. When either half is
+// narrow it keeps the two steps, a CellPatch of the arrivals then one
+// of the tombstones, bit for bit.
 func TestSketchedSlideMergesWideHalves(t *testing.T) {
 	const rank = 8
 	sp, deltas := scatterWindowChain(1, 60)
@@ -177,14 +177,15 @@ func TestSketchedSlideMergesWideHalves(t *testing.T) {
 		t.Fatal(err)
 	}
 	merged := func(f *eig.SVDResult, arrive, expire []sparse.Triplet) (*eig.SVDResult, float64, error) {
-		return update.CellSlide(f, arrive, expire, rank)
+		signed := append(append([]sparse.Triplet(nil), arrive...), expire...)
+		return update.CellPatch(f, signed, rank)
 	}
 	twoStep := func(f *eig.SVDResult, arrive, expire []sparse.Triplet) (*eig.SVDResult, float64, error) {
 		mid, _, err := update.CellPatch(f, arrive, rank)
 		if err != nil {
 			return nil, 0, err
 		}
-		return update.CellUnpatch(mid, expire, rank)
+		return update.CellPatch(mid, expire, rank)
 	}
 	never := Options{RefreshBudget: math.Inf(1)}
 
@@ -212,7 +213,7 @@ func TestSketchedSlideMergesWideHalves(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkDecompBitwise(t, got, slideBy(t, d, c.delta, twoStep), c.name+" vs CellPatch then CellUnpatch")
+		checkDecompBitwise(t, got, slideBy(t, d, c.delta, twoStep), c.name+" vs two CellPatch steps")
 	}
 }
 
@@ -221,40 +222,4 @@ func digestOf(d *Decomposition) uint64 {
 	h := fnv.New64a()
 	hashFactors(h, d)
 	return h.Sum64()
-}
-
-// TestSketchedSlideEscalationNamesDrift: a merged slide on factors that
-// already drifted past the downdate tolerance abandons the chain like an
-// ill-conditioned unpatch — a redecompose of the final window — and the
-// logged reason names the merged step and the inherited drift, not a
-// bad downdate.
-func TestSketchedSlideEscalationNamesDrift(t *testing.T) {
-	sp, deltas := scatterWindowChain(1, 60)
-	opts := Options{Rank: 8, Target: TargetB, Updatable: true}
-	d, err := DecomposeSparse(sp, ISVD4, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u := d.state.lo.U
-	for i := 0; i < u.Rows; i++ {
-		u.Data[i*u.Cols] *= 1 + 1e-6
-	}
-	got, err := d.Update(deltas[0], Options{RefreshBudget: math.Inf(1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := got.Health()
-	if h.Redecomposes != 1 {
-		t.Fatalf("drifted slide: %d redecomposes, want 1", h.Redecomposes)
-	}
-	for _, want := range []string{"slide", "CellSlide", "drifted input"} {
-		if !strings.Contains(h.LastEscalationReason, want) {
-			t.Errorf("escalation reason %q does not name %q", h.LastEscalationReason, want)
-		}
-	}
-	cold, err := DecomposeSparse(got.state.m, ISVD4, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkDecompBitwise(t, got, cold, "redecompose after a drifted slide")
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/eig"
@@ -43,9 +44,8 @@ const defaultRefreshBudget = 0.01
 
 // defaultOrthoBudget is the Options.OrthoBudget default: factor states
 // whose ‖QᵀQ−I‖∞ drifts past it are rebuilt with a full windowed
-// redecompose. It matches the update package's downdate tolerance — an
-// order of magnitude above eigensolver rounding noise, two below the
-// engine's 1e-6 agreement contract.
+// redecompose. It sits an order of magnitude above eigensolver rounding
+// noise and two below the engine's 1e-6 agreement contract.
 const defaultOrthoBudget = 1e-8
 
 // ErrPoisoned marks an update whose factors came out non-finite
@@ -62,9 +62,10 @@ var ErrPoisoned = errors.New("core: update produced non-finite factors")
 // else in the same batch) — the natural sliding-window order: decay old
 // evidence, admit the new slice, then expire the old one. Patch and
 // Unpatch address disjoint cells of the same matrix, and the stored
-// matrix takes both in one merge (sparse.ICSR.ApplyCells). When they
-// are both wide (see update.Wide) they also fold into one signed Brand
-// step per factor side; otherwise each takes its own step.
+// matrix takes both in one merge (sparse.ICSR.ApplyCells). A tombstone
+// is a cell patch of the negated stored value; when Patch and Unpatch
+// are both wide (see update.Wide) they fold into one signed Brand step
+// per factor side, otherwise each takes its own step.
 type Delta struct {
 	// Forget, when in (0, 1), is the exponential forgetting factor λ:
 	// the retained singular values and the stored matrix are scaled by
@@ -413,12 +414,48 @@ func (d *Decomposition) Update(delta Delta, opts Options) (*Decomposition, error
 		}
 		m2 = next
 	}
-	// Cell and downdate stages. An ill-conditioned removal (tombstones,
-	// alone or in a merged slide, or whole rows or columns) damages the
-	// factor states but not the data, so instead of failing the update
-	// the additive chain is abandoned (dead): the remaining stages apply to
-	// the matrix only and the update escalates straight to a full
-	// windowed redecompose from the final matrix. This is the
+	// Cell stages: arrivals and tombstones are both additive cell
+	// deltas, so every cell step is a CellPatch. A wide slide folds the
+	// two halves into one signed step per side, arrivals then
+	// tombstones; otherwise the patch and the unpatch each take their
+	// own step.
+	if len(delta.Patch) > 0 || len(delta.Unpatch) > 0 {
+		next, arrive, expire, err := cellDeltas(m2, delta)
+		if err != nil {
+			return nil, err
+		}
+		// cellStep runs one CellPatch of cells(side) on every maintained
+		// side.
+		cellStep := func(what string, cells func(side int) []sparse.Triplet) error {
+			if err := sideUpdate(func(f *eig.SVDResult, side int) (*eig.SVDResult, float64, error) {
+				return update.CellPatch(f, cells(side), rank)
+			}); err != nil {
+				return fmt.Errorf("core: Update: %s: %w", what, err)
+			}
+			return nil
+		}
+		if len(delta.Patch) > 0 && len(delta.Unpatch) > 0 && slideMerges(cur, arrive, expire, rank) {
+			err = cellStep("slide", func(side int) []sparse.Triplet { return slices.Concat(arrive[side], expire[side]) })
+		} else {
+			if len(delta.Patch) > 0 {
+				err = cellStep("patch", func(side int) []sparse.Triplet { return arrive[side] })
+			}
+			if err == nil && len(delta.Unpatch) > 0 {
+				err = cellStep("unpatch", func(side int) []sparse.Triplet { return expire[side] })
+			}
+		}
+		if err != nil {
+			return nil, err
+		}
+		m2 = next
+	}
+
+	// Removal stages. A removal whose cancellation leaves the removed
+	// rows or columns in the factors (update.ErrIllConditioned) damages
+	// the factor states but not the data, so instead of failing the
+	// update the additive chain is abandoned (dead): the remaining
+	// stages apply to the matrix only and the update escalates straight
+	// to a full windowed redecompose from the final matrix. This is the
 	// "route through the refresh machinery instead of returning
 	// garbage" guarantee, and it holds even under an infinite
 	// RefreshBudget — that disables budget-driven refreshes, not the
@@ -441,42 +478,6 @@ func (d *Decomposition) Update(delta Delta, opts Options) (*Decomposition, error
 		return fmt.Errorf("core: Update: %s: %w", what, err)
 	}
 
-	if len(delta.Patch) > 0 || len(delta.Unpatch) > 0 {
-		next, arrive, expire, err := cellDeltas(m2, delta)
-		if err != nil {
-			return nil, err
-		}
-		if len(delta.Patch) > 0 && len(delta.Unpatch) > 0 && slideMerges(cur, arrive, expire, rank) {
-			// A wide slide folds both halves into one signed step per
-			// side; it carries the downdate checks, so an ill-conditioned
-			// result abandons the chain like an unpatch.
-			if err := downdate("slide", func() error {
-				return sideUpdate(func(f *eig.SVDResult, side int) (*eig.SVDResult, float64, error) {
-					return update.CellSlide(f, arrive[side], expire[side], rank)
-				})
-			}); err != nil {
-				return nil, err
-			}
-		} else {
-			if len(delta.Patch) > 0 {
-				if err := sideUpdate(func(f *eig.SVDResult, side int) (*eig.SVDResult, float64, error) {
-					return update.CellPatch(f, arrive[side], rank)
-				}); err != nil {
-					return nil, fmt.Errorf("core: Update: patch: %w", err)
-				}
-			}
-			if len(delta.Unpatch) > 0 {
-				if err := downdate("unpatch", func() error {
-					return sideUpdate(func(f *eig.SVDResult, side int) (*eig.SVDResult, float64, error) {
-						return update.CellUnpatch(f, expire[side], rank)
-					})
-				}); err != nil {
-					return nil, err
-				}
-			}
-		}
-		m2 = next
-	}
 	if len(delta.RemoveRows) > 0 {
 		next, err := m2.RemoveRows(delta.RemoveRows)
 		if err != nil {
@@ -506,10 +507,11 @@ func (d *Decomposition) Update(delta Delta, opts Options) (*Decomposition, error
 		m2 = next
 	}
 
-	// Numerical-health gate on the additive result: a non-finite factor
-	// must never be published — the typed ErrPoisoned leaves the
-	// previous functional decomposition serving — and the orthogonality
-	// drift feeds the escalation decision below.
+	// Numerical-health gate on the additive result, the engine's one
+	// drift guardrail: a non-finite factor must never be published — the
+	// typed ErrPoisoned leaves the previous functional decomposition
+	// serving — and the orthogonality drift of every step's output,
+	// inherited or caused, is measured here once against OrthoBudget.
 	drift := 0.0
 	if !dead {
 		h := cur.health()
@@ -523,12 +525,12 @@ func (d *Decomposition) Update(delta Delta, opts Options) (*Decomposition, error
 	// refresh (level 1) → full windowed redecompose (level 2). The
 	// triggers are monotone in severity — a spent refresh budget
 	// requests level 1 (every update, when the budget is negative, since
-	// resAcc >= 0); hard numerical damage (ill-conditioned downdate,
-	// orthogonality drift past OrthoBudget, an unhealthy warm result)
-	// requests level 2 — and deterministic: they read only resAcc, the
-	// factor states, the delta, and the per-call options, all of which
-	// survive persistence, so WAL replay re-derives identical
-	// escalations.
+	// resAcc >= 0); hard numerical damage (a removal left in the
+	// factors, orthogonality drift past OrthoBudget, an unhealthy warm
+	// result) requests level 2 — and deterministic: they read only
+	// resAcc, the factor states, the delta, and the per-call options,
+	// all of which survive persistence, so WAL replay re-derives
+	// identical escalations.
 	level, reason := 0, ""
 	switch {
 	case dead:
@@ -629,10 +631,10 @@ func (d *Decomposition) Update(delta Delta, opts Options) (*Decomposition, error
 }
 
 // cellDeltas merges the delta's Patch and Unpatch into m in one pass
-// (sparse.ApplyCells) and returns the result with the per-side factor
-// deltas (indexed by side): the additive arrivals (set semantics in,
-// the change from the stored value out; zero changes omitted) and the
-// tombstones with the values they remove (zeros omitted). The two lists
+// (sparse.ApplyCells) and returns the result with the per-side additive
+// factor deltas (indexed by side): the arrivals (set semantics in, the
+// change from the stored value out; zero changes omitted) and the
+// tombstones (the negated stored value; zeros omitted). The two lists
 // address disjoint cells, so every old value is read from m.
 func cellDeltas(m *sparse.ICSR, delta Delta) (next *sparse.ICSR, arrive, expire [3][]sparse.Triplet, err error) {
 	if next, err = m.ApplyCells(delta.Patch, delta.Unpatch); err != nil {
@@ -664,7 +666,7 @@ func cellDeltas(m *sparse.ICSR, delta Delta) (next *sparse.ICSR, arrive, expire 
 			sideMid: (old.Lo + old.Hi) / 2,
 		} {
 			if v != 0 {
-				expire[side] = append(expire[side], sparse.Triplet{Row: cl.Row, Col: cl.Col, Val: v})
+				expire[side] = append(expire[side], sparse.Triplet{Row: cl.Row, Col: cl.Col, Val: -v})
 			}
 		}
 	}

@@ -441,18 +441,22 @@ func (s *Service) Submit(req *jobRequest) (JobInfo, error) {
 		s.metrics.addCounter(mResQuarTrans, label("event", "probe"), 1)
 	}
 
+	// Only default-policy updates coalesce. λ-decay does not commute
+	// with the last-wins cell merge (a cell patched before the decay and
+	// one patched after end up at different values), and a unit runs
+	// under one refresh and orthogonality budget, so a job that sets its
+	// own forget factor or budget runs as its own unit, in admission
+	// order.
+	coalescable := req.kind == sched.Update && req.forget == 0 &&
+		req.refreshBudget == 0 && req.orthoBudget == 0
 	s.seq++
 	job := sched.Job{
-		ID:     s.seq,
-		Seq:    s.seq,
-		Tenant: req.tenant,
-		Kind:   req.kind,
-		Cost:   cost,
-		// Forget-carrying updates never coalesce: λ-decay does not
-		// commute with the last-wins cell merge (a cell patched before
-		// the decay and one patched after end up at different values), so
-		// such a job runs as its own unit, in admission order.
-		Coalescable: req.kind == sched.Update && req.forget == 0,
+		ID:          s.seq,
+		Seq:         s.seq,
+		Tenant:      req.tenant,
+		Kind:        req.kind,
+		Cost:        cost,
+		Coalescable: coalescable,
 		Submitted:   now,
 	}
 	rec := &jobRecord{job: job, req: req, bytes: req.bytes, info: JobInfo{
@@ -769,9 +773,10 @@ func (s *Service) runUnit(unit sched.Unit, reqs []*jobRequest, meta *tenantMeta,
 		// semantics per cell — a later job's patch overwrites an earlier
 		// patch or tombstone of the same cell, and a later tombstone
 		// overwrites an earlier patch. The merge is deterministic: jobs
-		// in admission order, first-touch cell order. Forget-carrying
-		// jobs are never coalesced (see Submit), so λ belongs to the
-		// unit's single job when set.
+		// in admission order, first-touch cell order. Jobs carrying a
+		// forget factor or their own budgets are never coalesced (see
+		// Submit), so λ and the budgets belong to the unit's single job
+		// when set.
 		last := reqs[len(reqs)-1]
 		type cellOp struct {
 			t    sparse.ITriplet

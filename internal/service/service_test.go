@@ -245,6 +245,53 @@ func TestCoalescedUpdates(t *testing.T) {
 		Delta: deltaText(t, rows, cols, merged)})
 }
 
+// TestCoalescedUpdatesKeepTheirPolicy: a unit runs under one refresh
+// and orthogonality budget, so an update that sets its own policy is a
+// unit of its own — a Refresh:"always" job queued ahead of a default
+// one must refresh, not take the default's budget — while the
+// default-policy burst behind it still coalesces.
+func TestCoalescedUpdatesKeepTheirPolicy(t *testing.T) {
+	const rows, cols = 20, 12
+	m := testMatrix(t, 7, rows, cols, 0.4)
+	s := New(Config{})
+
+	mustSubmit(t, s, Request{Tenant: "p", Kind: "decompose", Rank: 5, Target: "b",
+		Min: 1, Max: 5, COO: cooText(t, m)})
+	for _, c := range []struct {
+		refresh string
+		ortho   float64
+		cell    sparse.ITriplet
+	}{
+		{"always", 0, sparse.ITriplet{Row: 1, Col: 2, Lo: 2, Hi: 3}},
+		{"", 1e-6, sparse.ITriplet{Row: 2, Col: 3, Lo: 1, Hi: 2}},
+		{"", 0, sparse.ITriplet{Row: 4, Col: 5, Lo: 1, Hi: 1.5}},
+		{"", 0, sparse.ITriplet{Row: 6, Col: 0, Lo: 3, Hi: 3}},
+	} {
+		mustSubmit(t, s, Request{Tenant: "p", Kind: "update", Refresh: c.refresh, OrthoBudget: c.ortho,
+			Delta: deltaText(t, rows, cols, []sparse.ITriplet{c.cell})})
+	}
+
+	batch := sched.Schedule(s.pending, s.cfg.Budget)
+	var sizes []int
+	for _, u := range batch.Units {
+		sizes = append(sizes, len(u.Jobs))
+	}
+	if fmt.Sprint(sizes) != "[1 1 1 2]" {
+		t.Fatalf("unit sizes %v, want [1 1 1 2]: decompose, the always job, the orthoBudget job, the default pair", sizes)
+	}
+	for i, u := range batch.Units {
+		s.execUnit(u)
+		if i == 1 {
+			if h := s.Snapshot("p").Decomp.Health(); h.Refreshes != 1 {
+				t.Fatalf("the refresh:always update ran %d refreshes, want 1", h.Refreshes)
+			}
+		}
+	}
+	if h := s.Snapshot("p").Decomp.Health(); h.Updates != 3 {
+		t.Errorf("%d updates applied, want 3 (two single jobs and one coalesced pair)", h.Updates)
+	}
+}
+
 func TestSubmitRejections(t *testing.T) {
 	const rows, cols = 8, 6
 	m := testMatrix(t, 1, rows, cols, 0.5)

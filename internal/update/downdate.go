@@ -15,18 +15,21 @@ import (
 // forgetting factor. A downdate is algebraically just a low-rank update
 // with the removed content negated — RemoveRows zeroes the departing
 // rows by adding p·qᵀ where p holds row indicators and q the negated
-// model rows, then compacts the zeroed rows out of the left factor —
-// but numerically it is the dangerous direction: where an append can
-// only grow the spectrum, a removal cancels mass against the retained
-// singular values, and when the removed mass approaches σ_r the
-// trailing directions are recovered from a near-zero difference. The
-// functions here therefore measure the damage they cause (zeroing
-// residual of the removed rows, ‖QᵀQ−I‖∞ orthogonality loss of the
-// compacted basis) and refuse to return garbage: hard damage surfaces
-// as an *IllConditionedError (errors.Is ErrIllConditioned) so the
-// engine in internal/core can escalate to a refresh, and mass that the
-// core eigensolve silently floors to zero is folded into the Discarded
-// return value so the RefreshBudget accounting sees it.
+// model rows, then compacts the zeroed rows out of the left factor; an
+// expired cell is a CellPatch of its negated value — but numerically it
+// is the dangerous direction: where an append can only grow the
+// spectrum, a removal cancels mass against the retained singular
+// values, and when the removed mass approaches σ_r the trailing
+// directions are recovered from a near-zero difference. RemoveRows
+// therefore measures the one damage only it can see — the zeroing
+// residual of the removed rows, which the compaction deletes — and
+// refuses to return garbage: a residual past tolerance surfaces as an
+// *IllConditionedError (errors.Is ErrIllConditioned) so the engine in
+// internal/core can escalate to a redecompose. Orthogonality loss is
+// left to that engine's health gate (FactorDrift against
+// Options.OrthoBudget), which sees every step's output, and mass that
+// the core eigensolve silently floors to zero is folded into the
+// Discarded return value so the RefreshBudget accounting sees it.
 
 // downdateZeroTol bounds the relative zeroing residual of a removal:
 // the updated factors' claim about a removed row must vanish against
@@ -34,15 +37,10 @@ import (
 // this the downdate destroyed information it meant to keep.
 const downdateZeroTol = 1e-8
 
-// downdateOrthoTol bounds the post-downdate ‖QᵀQ−I‖∞ of each factor:
-// compaction only deletes (near-)zero rows, so orthonormality above
-// this threshold means the cancellation corrupted the basis.
-const downdateOrthoTol = 1e-8
-
-// ErrIllConditioned marks a downdate whose cancellation damaged the
-// factors beyond the tolerances above. The returned factors are
-// withheld; the caller keeps its previous state and should escalate to
-// a refresh of the post-removal matrix.
+// ErrIllConditioned marks a removal whose cancellation left the
+// removed rows (or columns) in the factors beyond downdateZeroTol. The
+// factors are withheld; the caller keeps its previous state and should
+// rebuild the factors from the post-removal matrix.
 var ErrIllConditioned = errors.New("update: downdate is ill-conditioned")
 
 // ErrNonFinite marks a NaN or Inf appearing in a factor. A non-finite
@@ -50,42 +48,25 @@ var ErrIllConditioned = errors.New("update: downdate is ill-conditioned")
 // poisoned.
 var ErrNonFinite = errors.New("update: non-finite factor entry")
 
-// IllConditionedError carries the downdate health measurements that
+// IllConditionedError carries the removal health measurements that
 // tripped; it unwraps to ErrIllConditioned.
 type IllConditionedError struct {
-	Op            string  // "RemoveRows", "RemoveCols", "CellUnpatch", "CellSlide"
-	RemovedMass   float64 // Frobenius mass of the removed content
-	SigmaMin      float64 // smallest non-zero retained σ before the downdate
-	ZeroResidual  float64 // max relative residual of a removed row/col
-	OrthoResidual float64 // worst factor ‖QᵀQ−I‖∞ after the downdate
-	// InputOrthoResidual is the worst factor ‖QᵀQ−I‖∞ of the input: a
-	// downdate measures the orthogonality of its output, which
-	// inherits whatever drift its input already carried.
-	InputOrthoResidual float64
+	Op           string  // "RemoveRows" or "RemoveCols"
+	RemovedMass  float64 // Frobenius mass of the removed content
+	SigmaMin     float64 // smallest non-zero retained σ before the downdate
+	ZeroResidual float64 // max relative residual of a removed row/col
 }
 
 func (e *IllConditionedError) Error() string {
-	if e.inherited() {
-		return fmt.Sprintf("update: %s: ill-conditioned on drifted input factors (orthogonality residual %.3g in, %.3g out; removed mass %.3g vs σ_min %.3g)",
-			e.Op, e.InputOrthoResidual, e.OrthoResidual, e.RemovedMass, e.SigmaMin)
-	}
-	return fmt.Sprintf("update: %s: downdate is ill-conditioned (removed mass %.3g vs σ_min %.3g, zero residual %.3g, orthogonality residual %.3g, %.3g on input)",
-		e.Op, e.RemovedMass, e.SigmaMin, e.ZeroResidual, e.OrthoResidual, e.InputOrthoResidual)
+	return fmt.Sprintf("update: %s: downdate is ill-conditioned (removed mass %.3g vs σ_min %.3g, zero residual %.3g)",
+		e.Op, e.RemovedMass, e.SigmaMin, e.ZeroResidual)
 }
 
 func (e *IllConditionedError) Unwrap() error { return ErrIllConditioned }
 
-// inherited reports whether the check that tripped mostly measured
-// drift the input already carried: only orthogonality tripped, and the
-// step at most doubled the input's residual.
-func (e *IllConditionedError) inherited() bool {
-	return e.ZeroResidual <= downdateZeroTol && e.OrthoResidual > downdateOrthoTol &&
-		2*e.InputOrthoResidual >= e.OrthoResidual
-}
-
-// FactorDrift is the worst ‖QᵀQ−I‖∞ over both factors of f: the one
-// orthogonality-drift measure of the downdate checks and of the
-// engine's health gate (internal/core).
+// FactorDrift is the worst ‖QᵀQ−I‖∞ over both factors of f: the
+// orthogonality-drift measure of the engine's health gate
+// (internal/core), the one place the update engine checks it.
 func FactorDrift(f *eig.SVDResult) float64 {
 	return math.Max(OrthoResidual(f.U, f.S), OrthoResidual(f.V, f.S))
 }
@@ -100,8 +81,8 @@ func FactorDrift(f *eig.SVDResult) float64 {
 // the downdate discarded: core-truncation discard plus any retained
 // mass the cancellation silently floored to zero (detected by Frobenius
 // accounting ‖A'‖F² = ‖A‖F² − ‖B‖F²), so budget-driven refresh logic
-// sees cancellation damage even when it stays below the hard error
-// tolerances.
+// sees cancellation damage even when it stays below the zeroing
+// tolerance.
 func RemoveRows(f *eig.SVDResult, rows []int, rank int) (*eig.SVDResult, float64, error) {
 	m, n, r := f.U.Rows, f.V.Rows, len(f.S)
 	sorted, err := sparse.CheckRemovalIndices("RemoveRows", rows, m)
@@ -173,11 +154,9 @@ func RemoveRows(f *eig.SVDResult, rows []int, rank int) (*eig.SVDResult, float64
 		out++
 	}
 
-	ortho := OrthoResidual(u, res.S)
-	if zres > downdateZeroTol || ortho > downdateOrthoTol {
+	if zres > downdateZeroTol {
 		return nil, 0, &IllConditionedError{
-			Op: "RemoveRows", RemovedMass: mass, SigmaMin: smin,
-			ZeroResidual: zres, OrthoResidual: ortho, InputOrthoResidual: FactorDrift(f),
+			Op: "RemoveRows", RemovedMass: mass, SigmaMin: smin, ZeroResidual: zres,
 		}
 	}
 	return &eig.SVDResult{U: u, S: res.S, V: res.V}, disc, nil
@@ -196,58 +175,6 @@ func RemoveCols(f *eig.SVDResult, cols []int, rank int) (*eig.SVDResult, float64
 		return nil, 0, err
 	}
 	return &eig.SVDResult{U: res.V, S: res.S, V: res.U}, disc, nil
-}
-
-// CellUnpatch returns the rank-truncated SVD of A with the given cells
-// reverted to unobserved zero. Each triplet carries the cell's CURRENT
-// stored value (the caller owns the matrix; the model only sees the
-// additive delta), so the unpatch is the signed step below with no
-// arrivals: CellPatch with every value negated, followed by the
-// downdate health checks.
-func CellUnpatch(f *eig.SVDResult, cells []sparse.Triplet, rank int) (*eig.SVDResult, float64, error) {
-	return signedPatch("CellUnpatch", f, nil, cells, rank)
-}
-
-// CellSlide returns the rank-truncated SVD of A + ΔA for one window
-// slide in a single Brand step: arrivals carry additive deltas (as for
-// CellPatch), tombstones carry the current stored values they revert to
-// zero (as for CellUnpatch), and ΔA holds +arrival and −tombstone per
-// cell. A cell in both lists is an error. Against CellPatch followed by
-// CellUnpatch it pays one basis extension and one core SVD instead of
-// two — the compressed step's cost does not grow with the doubled batch
-// — and it applies CellUnpatch's health checks to the combined result.
-func CellSlide(f *eig.SVDResult, arrivals, tombstones []sparse.Triplet, rank int) (*eig.SVDResult, float64, error) {
-	return signedPatch("CellSlide", f, arrivals, tombstones, rank)
-}
-
-// signedPatch is the one signed cell step behind CellUnpatch and
-// CellSlide: CellPatch of the arrivals and the negated tombstones, then
-// the downdate health checks — a non-finite result is ErrNonFinite,
-// orthogonality loss beyond tolerance is an *IllConditionedError naming
-// op, with the tombstones' mass and the input's own orthogonality
-// residual — and in both cases the factors are withheld.
-func signedPatch(op string, f *eig.SVDResult, arrivals, tombstones []sparse.Triplet, rank int) (*eig.SVDResult, float64, error) {
-	signed := make([]sparse.Triplet, len(arrivals), len(arrivals)+len(tombstones))
-	copy(signed, arrivals)
-	var massSq float64
-	for _, t := range tombstones {
-		signed = append(signed, sparse.Triplet{Row: t.Row, Col: t.Col, Val: -t.Val})
-		massSq += t.Val * t.Val
-	}
-	res, disc, err := CellPatch(f, signed, rank)
-	if err != nil {
-		return nil, 0, err
-	}
-	if err := CheckFinite(res); err != nil {
-		return nil, 0, fmt.Errorf("update: %s: %w", op, err)
-	}
-	if ortho := FactorDrift(res); ortho > downdateOrthoTol {
-		return nil, 0, &IllConditionedError{
-			Op: op, RemovedMass: math.Sqrt(massSq), SigmaMin: SigmaMinNonzero(f.S),
-			OrthoResidual: ortho, InputOrthoResidual: FactorDrift(f),
-		}
-	}
-	return res, disc, nil
 }
 
 // Forget scales the retained singular values by the forgetting factor

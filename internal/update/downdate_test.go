@@ -64,14 +64,14 @@ func TestDowndateMatchesFullRecompute(t *testing.T) {
 					}
 					checkAgainstFull(t, got, want, rank, 1e-6)
 				case "cell-unpatch":
-					// Cells carry their CURRENT values; the unpatch reverts
-					// them to zero.
+					// The unpatch reverts cells to zero: a CellPatch of their
+					// negated CURRENT values.
 					cells := []sparse.Triplet{
-						{Row: 0, Col: 0, Val: a.At(0, 0)},
-						{Row: 0, Col: 3, Val: a.At(0, 3)},
-						{Row: 7, Col: 2, Val: a.At(7, 2)},
+						{Row: 0, Col: 0, Val: -a.At(0, 0)},
+						{Row: 0, Col: 3, Val: -a.At(0, 3)},
+						{Row: 7, Col: 2, Val: -a.At(7, 2)},
 					}
-					got, _, err := CellUnpatch(f, cells, rank)
+					got, _, err := CellPatch(f, cells, rank)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -13,9 +13,10 @@
 // basis is extended exactly on the extended right basis, and the step
 // costs O(nnz·(r+k) + (m+n)·(r+k)² + (r+k)³) whatever the patch width;
 // the mass outside the sketch is charged to the Discarded return value.
-// A window slide whose arrivals and tombstones are both that wide is one
-// such step per side, not two: CellSlide folds them into one signed
-// patch (+arrival, −expired value) under CellUnpatch's downdate checks.
+// Expired cells are cell patches too, of their negated values, so a
+// window slide whose arrivals and tombstones are both that wide is one
+// such step per side, not two: one CellPatch of the signed cells
+// (+arrival, −expired value).
 //
 // The mechanics are the classical three steps: (1) project the batch
 // onto the existing factors and extract the out-of-subspace component
@@ -36,8 +37,8 @@
 // singular mass; the per-update Discarded return value measures it, and
 // the engine in internal/core accumulates it against a residual budget
 // to schedule warm-started full refreshes (eig.RoutedSVD with
-// Options.StartU/StartV). The downdates' orthogonality check and the
-// engine's health gate share one drift measure, FactorDrift.
+// Options.StartU/StartV). Orthogonality drift is checked in one place,
+// the engine's health gate, with FactorDrift.
 //
 //ivmf:deterministic
 package update
