@@ -106,7 +106,8 @@ type Options struct {
 	Workers int
 	// Solver is the solver choice of every endpoint SVD, Gram
 	// eigen-decomposition, factor pseudo-inverse and update refresh, all
-	// of which go through eig.RoutedSVD / eig.RoutedSymEig:
+	// of which go through eig.RoutedSVD / eig.RoutedSymEig (the refresh
+	// through eig.GramSVD, RoutedSymEig on the smaller side's Gram):
 	// eig.SolverAuto (the zero value) tries the truncated rank-r subspace
 	// solver when Rank plus its oversampling is below a third of the
 	// operator dimension, eig.SolverTruncated always tries it, and

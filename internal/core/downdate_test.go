@@ -317,7 +317,7 @@ func TestDriftGuardrailEscalates(t *testing.T) {
 				t.Fatal(err)
 			}
 			if c.delta.Patch != nil {
-				_, arrive, expire, err := cellDeltas(d.state.m, c.delta)
+				_, arrive, expire, err := cellDeltas(d.state.m, c.delta, d.state.mid != nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -92,7 +92,7 @@ func (o denseOperand) svdEndpoints(opts Options) (lo, hi *eig.SVDResult, err err
 
 // denseSVD is the routed SVD of one dense matrix at opts.Rank.
 func denseSVD(a *matrix.Dense, opts Options) (*eig.SVDResult, error) {
-	return eig.RoutedSVD(eig.NewDenseOp(a), opts.Rank, opts.Solver, eig.Options{}, func() *matrix.Dense { return a })
+	return eig.RoutedSVD(eig.NewDenseOp(a), opts.Rank, opts.Solver, func() *matrix.Dense { return a })
 }
 
 func (o denseOperand) gramEig(opts Options) (*matrix.Dense, *matrix.Dense, []float64, []float64, time.Duration, time.Duration, error) {

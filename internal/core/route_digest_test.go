@@ -163,9 +163,12 @@ func TestSolverRouteDigests(t *testing.T) {
 
 	// Recorded before eig.RoutedSVD/RoutedSymEig replaced the per-caller
 	// copies of the fallback policy: a change here is a routing change.
+	// decaying/chain/full and flat/chain/* were re-recorded when the warm
+	// refresh's full-solver branch became the Gram SymEig of
+	// eig.GramSVD; the converging chains did not move.
 	want := map[string]uint64{
 		"decaying/chain/auto":       0xb0d4433da5308a62,
-		"decaying/chain/full":       0x66f5af73c5e4d476,
+		"decaying/chain/full":       0xdcd4c5be06f14758,
 		"decaying/chain/truncated":  0x03f2dbf444e56bf2,
 		"decaying/dense/auto":       0x5fd1a6e081a061d6,
 		"decaying/dense/full":       0x08a4efc46fd78668,
@@ -173,9 +176,9 @@ func TestSolverRouteDigests(t *testing.T) {
 		"decaying/sparse/auto":      0x5fd1a6e081a061d6,
 		"decaying/sparse/full":      0x08a4efc46fd78668,
 		"decaying/sparse/truncated": 0x2a17f4735ffe54cc,
-		"flat/chain/auto":           0x4273a665e419b6b8,
-		"flat/chain/full":           0x4273a665e419b6b8,
-		"flat/chain/truncated":      0x0c82cd2e55c5ec7f,
+		"flat/chain/auto":           0x6be1489eec48e1f6,
+		"flat/chain/full":           0x6be1489eec48e1f6,
+		"flat/chain/truncated":      0xe57366110c2ec70d,
 		"flat/dense/auto":           0xa16ce3b9c3f39826,
 		"flat/dense/full":           0xa16ce3b9c3f39826,
 		"flat/dense/truncated":      0x6149620646da3c40,

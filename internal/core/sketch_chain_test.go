@@ -86,7 +86,7 @@ func TestSketchedWindowChain(t *testing.T) {
 	for i, delta := range deltas {
 		// Both halves of every slide are wide on both sides, so each
 		// takes one signed sketched step per side.
-		_, arrive, expire, err := cellDeltas(d.state.m, delta)
+		_, arrive, expire, err := cellDeltas(d.state.m, delta, d.state.mid != nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func slideBy(t *testing.T, d *Decomposition, delta Delta,
 	step func(f *eig.SVDResult, arrive, expire []sparse.Triplet) (*eig.SVDResult, float64, error)) *Decomposition {
 	t.Helper()
 	st := d.state
-	next, arrive, expire, err := cellDeltas(st.m, delta)
+	next, arrive, expire, err := cellDeltas(st.m, delta, st.mid != nil)
 	if err != nil {
 		t.Fatal(err)
 	}

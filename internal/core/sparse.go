@@ -54,7 +54,7 @@ func (o sparseOperand) svdEndpoints(opts Options) (lo, hi *eig.SVDResult, err er
 // routing at near-full rank) is only sensible for matrices that fit
 // densely.
 func csrSVD(a *sparse.CSR, opts Options) (*eig.SVDResult, error) {
-	return eig.RoutedSVD(sparse.NewOperator(a), opts.Rank, opts.Solver, eig.Options{}, a.ToDense)
+	return eig.RoutedSVD(sparse.NewOperator(a), opts.Rank, opts.Solver, a.ToDense)
 }
 
 func (o sparseOperand) gramEig(opts Options) (vLo, vHi *matrix.Dense, sLo, sHi []float64, pre, dec time.Duration, err error) {

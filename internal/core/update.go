@@ -28,9 +28,9 @@ import (
 //
 // Each additive update discards singular mass when the batch pushes
 // content past the kept rank; the engine accumulates the discarded
-// fraction and schedules a warm-started truncated re-solve
-// (eig.RoutedSVD seeded with the current factors — one or two sweeps on
-// drifted data) when the running total exceeds
+// fraction and schedules a warm-started re-solve (eig.GramSVD seeded
+// with the current factors — one or two truncated sweeps on drifted
+// data) when the running total exceeds
 // Options.RefreshBudget. The additive path, the refresh
 // path, and the downstream stages all run on the deterministic kernels,
 // so updated decompositions are bitwise identical for any worker count.
@@ -420,7 +420,7 @@ func (d *Decomposition) Update(delta Delta, opts Options) (*Decomposition, error
 	// tombstones; otherwise the patch and the unpatch each take their
 	// own step.
 	if len(delta.Patch) > 0 || len(delta.Unpatch) > 0 {
-		next, arrive, expire, err := cellDeltas(m2, delta)
+		next, arrive, expire, err := cellDeltas(m2, delta, cur.mid != nil)
 		if err != nil {
 			return nil, err
 		}
@@ -543,16 +543,22 @@ func (d *Decomposition) Update(delta Delta, opts Options) (*Decomposition, error
 	warmed := false
 	if level == 1 {
 		// The refresh re-decomposes each factor side from the updated
-		// matrix, seeded with the current factors: on drifted data the
-		// warm-started truncated solver converges in a sweep or two; when
-		// it is not routed or does not converge (a flat spectrum, as on
-		// ratings data) the side is densified for the full solver, which
-		// then dominates the update's cost.
+		// matrix on its smaller-side Gram (eig.GramSVD), seeded with the
+		// current factors: on drifted data the warm-started truncated
+		// solver converges in a sweep or two; when it is not routed or
+		// does not converge (a flat spectrum, as on ratings data) the
+		// full SymEig of the k×k Gram, built from the CSR, takes over.
+		// The side is never densified. Like a capture, the refresh zeros
+		// the noise-level triples a Gram solve leaves past the data's
+		// rank (sanitizeState); unzeroed, their recovered columns are
+		// not orthonormal and the health gate below would escalate.
 		next, _, err := cur.step(workers, func(f *eig.SVDResult, side int) (*eig.SVDResult, float64, error) {
-			a := sideCSR(m2, side)
-			nf, err := eig.RoutedSVD(sparse.NewOperator(a), rank, base.Solver,
-				eig.Options{StartU: f.U, StartV: f.V}, a.ToDense)
-			return nf, 0, err
+			nf, err := eig.GramSVD(sparse.NewOperator(sideCSR(m2, side)), rank, base.Solver,
+				eig.Options{StartU: f.U, StartV: f.V})
+			if err != nil {
+				return nil, 0, err
+			}
+			return sanitizeState(nf), 0, nil
 		})
 		if err != nil {
 			level, reason = 2, fmt.Sprintf("warm refresh failed: %v", err)
@@ -631,14 +637,20 @@ func (d *Decomposition) Update(delta Delta, opts Options) (*Decomposition, error
 }
 
 // cellDeltas merges the delta's Patch and Unpatch into m in one pass
-// (sparse.ApplyCells) and returns the result with the per-side additive
-// factor deltas (indexed by side): the arrivals (set semantics in, the
-// change from the stored value out; zero changes omitted) and the
-// tombstones (the negated stored value; zeros omitted). The two lists
-// address disjoint cells, so every old value is read from m.
-func cellDeltas(m *sparse.ICSR, delta Delta) (next *sparse.ICSR, arrive, expire [3][]sparse.Triplet, err error) {
+// (sparse.ApplyCells) and returns the result with the additive factor
+// deltas of the maintained sides (indexed by side; the mid side alone
+// when mid is set, the lo/hi pair otherwise): the arrivals (set
+// semantics in, the change from the stored value out; zero changes
+// omitted) and the tombstones (the negated stored value; zeros
+// omitted). The two lists address disjoint cells, so every old value
+// is read from m.
+func cellDeltas(m *sparse.ICSR, delta Delta, mid bool) (next *sparse.ICSR, arrive, expire [3][]sparse.Triplet, err error) {
 	if next, err = m.ApplyCells(delta.Patch, delta.Unpatch); err != nil {
 		return nil, arrive, expire, fmt.Errorf("core: Update: %w", err)
+	}
+	maintained := []int{sideLo, sideHi}
+	if mid {
+		maintained = []int{sideMid}
 	}
 	for _, t := range delta.Patch {
 		if math.IsNaN(t.Lo) || math.IsInf(t.Lo, 0) || math.IsNaN(t.Hi) || math.IsInf(t.Hi, 0) {
@@ -648,29 +660,34 @@ func cellDeltas(m *sparse.ICSR, delta Delta) (next *sparse.ICSR, arrive, expire 
 			return nil, arrive, expire, fmt.Errorf("core: Update: patch cell (%d, %d) is misordered (lo > hi)", t.Row, t.Col)
 		}
 		old := m.At(t.Row, t.Col)
-		for side, dv := range [3]float64{
-			sideLo:  t.Lo - old.Lo,
-			sideHi:  t.Hi - old.Hi,
-			sideMid: (t.Lo+t.Hi)/2 - (old.Lo+old.Hi)/2,
-		} {
-			if dv != 0 {
+		for _, side := range maintained {
+			if dv := sideValue(t.Lo, t.Hi, side) - sideValue(old.Lo, old.Hi, side); dv != 0 {
 				arrive[side] = append(arrive[side], sparse.Triplet{Row: t.Row, Col: t.Col, Val: dv})
 			}
 		}
 	}
 	for _, cl := range delta.Unpatch {
 		old := m.At(cl.Row, cl.Col)
-		for side, v := range [3]float64{
-			sideLo:  old.Lo,
-			sideHi:  old.Hi,
-			sideMid: (old.Lo + old.Hi) / 2,
-		} {
-			if v != 0 {
+		for _, side := range maintained {
+			if v := sideValue(old.Lo, old.Hi, side); v != 0 {
 				expire[side] = append(expire[side], sparse.Triplet{Row: cl.Row, Col: cl.Col, Val: -v})
 			}
 		}
 	}
 	return next, arrive, expire, nil
+}
+
+// sideValue is one side's value of the interval [lo, hi]: an endpoint,
+// or the midpoint.
+func sideValue(lo, hi float64, side int) float64 {
+	switch side {
+	case sideLo:
+		return lo
+	case sideHi:
+		return hi
+	default:
+		return (lo + hi) / 2
+	}
 }
 
 // slideMerges reports whether a slide's arrivals and tombstones fold

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/eig"
 	"repro/internal/imatrix"
 	"repro/internal/interval"
 	"repro/internal/matrix"
@@ -413,5 +415,76 @@ func TestUpdateWorkersOverrideNotSticky(t *testing.T) {
 	}
 	if got := d2.state.opts.Workers; got != 3 {
 		t.Fatalf("chain Workers = %d after a one-off override, want the decompose-time 3", got)
+	}
+}
+
+// TestWarmRefreshGramFallbackMatchesRecompute checks the warm refresh
+// where its truncated solve does not run to convergence, so each
+// refresh runs eig.GramSVD's fallback, the SymEig of the smaller-side
+// Gram: on the flat fixture every side's warm-started attempt returns
+// ErrNoConvergence, and on a 60×40 rank-3 matrix patched one cell per
+// step (rank below the kept 6) the full route is taken and the Gram
+// leaves noise-level triples past the data's rank. After every
+// refreshing patch, ISVD0, ISVD1 and ISVD4 must refresh without
+// escalating, agree with a cold DecomposeSparse of the same matrix to
+// 1e-10 relative (Σ and Reconstruct), and be bitwise identical at 1 and
+// 3 workers.
+func TestWarmRefreshGramFallbackMatchesRecompute(t *testing.T) {
+	defer parallel.SetWorkers(0)
+	lowRank := sparse.FromIMatrix(nonNegLowRank(60, 40, 3, rand.New(rand.NewSource(59))))
+	var cells []Delta
+	for i := 0; i < 3; i++ {
+		cells = append(cells, Delta{Patch: []sparse.ITriplet{{Row: 7 * i, Col: 5 * i, Lo: 2, Hi: 3}}})
+	}
+	for _, fx := range []struct {
+		name   string
+		m      *sparse.ICSR
+		deltas []Delta
+	}{
+		{"flat", sparse.FromIMatrix(routeFlat(routeRows, routeCols)), routeChain(routeRows, routeCols)},
+		{"rank-deficient", lowRank, cells},
+	} {
+		opts := Options{Rank: routeRank, Target: TargetB, Updatable: true}
+		for _, method := range []Method{ISVD0, ISVD1, ISVD4} {
+			key := fx.name + "/" + method.String()
+			var digests [2]uint64
+			for w, workers := range []int{1, 3} {
+				parallel.SetWorkers(workers)
+				d, err := DecomposeSparse(fx.m, method, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				h := fnv.New64a()
+				for i, delta := range fx.deltas {
+					prev := d.state.sides
+					if d, err = d.Update(delta, Options{RefreshBudget: math.Inf(-1)}); err != nil {
+						t.Fatalf("%s step %d: %v", key, i, err)
+					}
+					if hl := d.Health(); hl.Refreshes != i+1 || hl.Redecomposes != 0 {
+						t.Fatalf("%s step %d: health %+v, want one refresh per step", key, i, hl)
+					}
+					m := d.state.m
+					for side, f := range [...]*eig.SVDResult{sideLo: prev.lo, sideHi: prev.hi, sideMid: prev.mid} {
+						if f == nil || !eig.SolverAuto.UseTruncated(routeRank, min(m.Rows, m.Cols)) {
+							continue
+						}
+						op := sparse.NewOperator(sideCSR(m, side))
+						if _, err := eig.TruncatedSVD(op, routeRank, eig.Options{StartU: f.U, StartV: f.V}); err != eig.ErrNoConvergence {
+							t.Fatalf("%s step %d side %d: warm truncated solve returned %v, want ErrNoConvergence", key, i, side, err)
+						}
+					}
+					ref, err := DecomposeSparse(m, method, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkDecompAgreement(t, d, ref, 1e-10)
+					hashFactors(h, d)
+				}
+				digests[w] = h.Sum64()
+			}
+			if digests[0] != digests[1] {
+				t.Errorf("%s: chain digest %#x at 1 worker, %#x at 3", key, digests[0], digests[1])
+			}
+		}
 	}
 }

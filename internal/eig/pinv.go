@@ -26,7 +26,7 @@ func PInv(a *matrix.Dense, cutoff float64) (*matrix.Dense, error) {
 // RoutedSVD falls back to the full decomposition on any truncated
 // non-convergence, so PInvWith never fails where PInv would succeed.
 func PInvWith(a *matrix.Dense, cutoff float64, solver Solver, rank int) (*matrix.Dense, error) {
-	res, err := RoutedSVD(NewDenseOp(a), rank, solver, Options{}, func() *matrix.Dense { return a })
+	res, err := RoutedSVD(NewDenseOp(a), rank, solver, func() *matrix.Dense { return a })
 	if err != nil {
 		return nil, err
 	}

@@ -25,7 +25,8 @@
 // solver's flops) runs out. RoutedSVD and RoutedSymEig hold the one
 // routing policy every caller goes through: try the truncated solver
 // when Solver routes to it, and fall back to the full one on
-// ErrNoConvergence.
+// ErrNoConvergence. GramSVD is RoutedSymEig on the smaller side's Gram,
+// completed to an SVD.
 package eig
 
 import (
@@ -224,10 +225,12 @@ type Options struct {
 	// carries the full oversampled block. The result is bitwise
 	// deterministic given the same Start for any worker count.
 	Start *matrix.Dense
-	// StartU (rows×k) and StartV (cols×k) seed TruncatedSVD from a
-	// previous decomposition's singular factors. The solver iterates on
-	// the Gram operator of the smaller side, so it uses StartV when
-	// rows ≥ cols and StartU otherwise; the unused side may be nil.
+	// StartU (rows×k) and StartV (cols×k) seed TruncatedSVD and
+	// GramSVD from a previous decomposition's singular factors (the warm
+	// refresh of the update engine). Both iterate on the Gram operator
+	// of the smaller side, so they use StartV when rows ≥ cols and
+	// StartU otherwise; the unused side may be nil. The symmetric
+	// solvers read Start instead.
 	StartU, StartV *matrix.Dense
 	// Sweeps, when non-nil, receives the number of subspace sweeps the
 	// iteration ran (diagnostics: the warm-start win is exactly the
@@ -419,35 +422,100 @@ func TruncatedSymEig(op SymOp, rank int, o Options) (vals []float64, vecs *matri
 // TruncatedSymEig.
 func TruncatedSVD(op Op, rank int, o Options) (*SVDResult, error) {
 	m, n := op.Dims()
-	minDim := m
-	if n < minDim {
-		minDim = n
-	}
-	if rank <= 0 || rank > minDim {
+	if rank <= 0 || rank > min(m, n) {
 		return nil, fmt.Errorf("eig: TruncatedSVD: rank %d out of range for %dx%d", rank, m, n)
 	}
-	if m >= n {
-		vals, v, err := TruncatedSymEig(NewGramOp(op), rank, Options{Start: o.StartV, Sweeps: o.Sweeps})
-		if err != nil {
-			return nil, err
-		}
-		s := sqrtClampedVals(vals)
-		u := matrix.New(m, rank)
-		op.Apply(u, v)
-		scaleColumnsByInv(u, s)
-		canonicalizeSVDSigns(u, v)
-		return &SVDResult{U: u, S: s, V: v}, nil
-	}
-	vals, u, err := TruncatedSymEig(NewCoGramOp(op), rank, Options{Start: o.StartU, Sweeps: o.Sweeps})
+	sym, so := gramSide(op, o)
+	vals, vecs, err := TruncatedSymEig(sym, rank, so)
 	if err != nil {
 		return nil, err
 	}
+	return fromGram(op, vals, vecs), nil
+}
+
+// GramSVD is the solver-routed thin SVD of op truncated to rank, solved
+// as the eigenproblem of the smaller side's Gram matrix — the form the
+// paper's ISVD2-4 take — and the warm refresh's solver. It runs
+// RoutedSymEig on AᵀA when rows ≥ cols and on A·Aᵀ otherwise, seeded
+// like TruncatedSVD (o.StartV or o.StartU), so a converged truncated
+// solve returns TruncatedSVD's result bit for bit. When the truncated
+// solve is not routed or gives up, the fallback is the full SymEig of
+// the materialized k×k Gram, k = min(rows, cols), built from op's own
+// storage when op can build it (sparse.Operator does), never by
+// densifying op. The other factor is recovered as TruncatedSVD recovers
+// it. Singular values below ~√eps·σ₁ sit at the Gram's rounding floor;
+// a caller that needs them accurately uses RoutedSVD. A rank <= 0 or
+// above min(rows, cols) means min(rows, cols).
+func GramSVD(op Op, rank int, solver Solver, o Options) (*SVDResult, error) {
+	m, n := op.Dims()
+	if rank <= 0 || rank > min(m, n) {
+		rank = min(m, n)
+	}
+	sym, so := gramSide(op, o)
+	vals, vecs, err := RoutedSymEig(sym, rank, solver, so, func() *matrix.Dense { return gramMatrix(op, sym) })
+	if err != nil {
+		return nil, err
+	}
+	return fromGram(op, vals, vecs), nil
+}
+
+// gramSide returns the Gram operator of op's smaller side (AᵀA when
+// rows ≥ cols, A·Aᵀ otherwise) and the symmetric solver options that
+// seed it from o: StartV for AᵀA, StartU for A·Aᵀ.
+func gramSide(op Op, o Options) (SymOp, Options) {
+	if m, n := op.Dims(); m >= n {
+		return NewGramOp(op), Options{Start: o.StartV, Sweeps: o.Sweeps}
+	}
+	return NewCoGramOp(op), Options{Start: o.StartU, Sweeps: o.Sweeps}
+}
+
+// fromGram completes the leading eigenpairs of op's smaller-side Gram
+// (gramSide) into singular triplets: the singular values are the
+// clamped square roots, and the other factor is one block apply scaled
+// by Σ⁻¹, signs canonicalized like SVD's (tall: by V, wide: by U).
+func fromGram(op Op, vals []float64, vecs *matrix.Dense) *SVDResult {
+	m, n := op.Dims()
 	s := sqrtClampedVals(vals)
-	v := matrix.New(n, rank)
-	op.ApplyT(v, u)
+	if m >= n {
+		u := matrix.New(m, len(s))
+		op.Apply(u, vecs)
+		scaleColumnsByInv(u, s)
+		canonicalizeSVDSigns(u, vecs)
+		return &SVDResult{U: u, S: s, V: vecs}
+	}
+	v := matrix.New(n, len(s))
+	op.ApplyT(v, vecs)
 	scaleColumnsByInv(v, s)
-	canonicalizeSVDSigns(v, u) // wide convention: orient by U, like SVD's transposed path
-	return &SVDResult{U: u, S: s, V: v}, nil
+	canonicalizeSVDSigns(v, vecs) // wide convention: orient by U, like SVD's transposed path
+	return &SVDResult{U: vecs, S: s, V: v}
+}
+
+// gramBuilder is an Op that builds its Gram matrices from its own
+// storage (sparse.Operator, from the CSR); GramSVD's dense fallback
+// uses it instead of applying the Gram operator to an identity block.
+type gramBuilder interface {
+	Gram() *matrix.Dense   // AᵀA, cols×cols
+	CoGram() *matrix.Dense // A·Aᵀ, rows×rows
+}
+
+// gramMatrix materializes sym, the Gram operator gramSide chose for
+// op, exactly symmetric.
+func gramMatrix(op Op, sym SymOp) *matrix.Dense {
+	var g *matrix.Dense
+	m, n := op.Dims()
+	if b, ok := op.(gramBuilder); ok {
+		if m >= n {
+			g = b.Gram()
+		} else {
+			g = b.CoGram()
+		}
+	} else {
+		k := sym.Dim()
+		g = matrix.New(k, k)
+		sym.ApplySym(g, matrix.Identity(k))
+	}
+	symmetrizeInPlace(g)
+	return g
 }
 
 // orthonormalizeRows runs in-order modified Gram-Schmidt (with one
@@ -560,22 +628,24 @@ func sqrtClampedVals(vals []float64) []float64 {
 }
 
 // RoutedSVD is the solver-routed thin SVD of op truncated to rank, and
-// the one place the try-truncated-then-full policy lives for SVDs: when
-// solver routes rank to the truncated path (Solver.UseTruncated) it runs
-// TruncatedSVD with o, and when that is not routed or returns
+// the one place the try-truncated-then-full policy lives for the cold
+// SVDs (ISVD0/1's endpoint and midpoint SVDs, PInvWith): when solver
+// routes rank to the truncated path (Solver.UseTruncated) it runs a
+// cold-started TruncatedSVD, and when that is not routed or returns
 // ErrNoConvergence (a flat spectrum) it runs the full Golub-Reinsch SVD
 // on dense() and truncates it. dense is called only on that full path,
 // so a sparse caller densifies only when it must. A rank <= 0 or above
 // min(rows, cols) means min(rows, cols). The result has exactly rank
-// columns and is fully owned by the caller.
-func RoutedSVD(op Op, rank int, solver Solver, o Options, dense func() *matrix.Dense) (*SVDResult, error) {
+// columns and is fully owned by the caller. The warm refresh uses
+// GramSVD instead, whose fallback never densifies op.
+func RoutedSVD(op Op, rank int, solver Solver, dense func() *matrix.Dense) (*SVDResult, error) {
 	m, n := op.Dims()
 	minDim := min(m, n)
 	if rank <= 0 || rank > minDim {
 		rank = minDim
 	}
 	if solver.UseTruncated(rank, minDim) {
-		if res, err := TruncatedSVD(op, rank, o); err != ErrNoConvergence {
+		if res, err := TruncatedSVD(op, rank, Options{}); err != ErrNoConvergence {
 			return res, err
 		}
 	}

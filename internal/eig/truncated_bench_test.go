@@ -150,15 +150,32 @@ func BenchmarkTruncatedSVDSparseFixedNNZ(b *testing.B) {
 	}
 }
 
-// BenchmarkSVDWide141x252 times the full SVD on the dense-fallback shape
-// of a ratings endpoint (MovieLensLike at scale 0.15, ~5% of cells
-// stored): the SVD a warm refresh runs per endpoint when the truncated
-// solve gives up on a flat spectrum.
+// BenchmarkSVDWide141x252 times the full SVD on the shape of a ratings
+// endpoint (MovieLensLike at scale 0.15, ~5% of cells stored): the
+// dense fallback a warm refresh ran per endpoint, when its truncated
+// solve gave up on a flat spectrum, before BenchmarkGramSVD141x252's
+// solver replaced it.
 func BenchmarkSVDWide141x252(b *testing.B) {
 	a := ratingsLike(rand.New(rand.NewSource(10)), 141, 252, 0.05)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := SVD(a); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkGramSVD141x252 times the warm refresh's per-endpoint solve
+// on the same ratings shape as BenchmarkSVDWide141x252, through the
+// sparse operator the refresh uses: the rank-10 truncated attempt on
+// the 141×141 Gram gives up on the flat spectrum, then the SymEig of
+// the Gram built from the CSR runs and U, Σ, V are recovered.
+func BenchmarkGramSVD141x252(b *testing.B) {
+	a := ratingsLike(rand.New(rand.NewSource(10)), 141, 252, 0.05)
+	op := sparse.NewOperator(sparse.FromDense(a))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := GramSVD(op, 10, SolverAuto, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/matrix"
 	"repro/internal/parallel"
+	"repro/internal/sparse"
 )
 
 // decayMatrix builds a rows×cols matrix with geometrically decaying
@@ -433,7 +434,7 @@ func TestRoutedSVDDensifiesOnlyOnFullPath(t *testing.T) {
 		{"flat/auto", flat, SolverAuto, true},
 	} {
 		calls := 0
-		res, err := RoutedSVD(NewDenseOp(tc.a), 6, tc.solver, Options{}, func() *matrix.Dense {
+		res, err := RoutedSVD(NewDenseOp(tc.a), 6, tc.solver, func() *matrix.Dense {
 			calls++
 			return tc.a
 		})
@@ -487,5 +488,96 @@ func TestPInvWithTruncated(t *testing.T) {
 	// Moore-Penrose conditions hold for the truncated result directly.
 	if !matrix.Equal(matrix.Mul(matrix.Mul(a, trunc), a), a, 1e-7*a.MaxAbs()) {
 		t.Error("A·A⁺·A != A for the truncated pseudo-inverse")
+	}
+}
+
+// gramDecaying is the eig-side counterpart of core's routeDecaying
+// fixture: a 150×100 non-negative rank-12 product with geometrically
+// decaying factor weights plus a tiny noise floor, on which the
+// truncated solver converges.
+func gramDecaying() *matrix.Dense {
+	rng := rand.New(rand.NewSource(2401))
+	const rows, cols, k = 150, 100, 12
+	w, h := matrix.New(rows, k), matrix.New(k, cols)
+	for i := range w.Data {
+		w.Data[i] = rng.Float64() * math.Pow(0.6, float64(i%k))
+	}
+	for i := range h.Data {
+		h.Data[i] = rng.Float64()
+	}
+	a := matrix.Mul(w, h)
+	for i := range a.Data {
+		a.Data[i] += 1e-6 * rng.Float64()
+	}
+	return a
+}
+
+// spanGap returns ‖B − A·(AᵀB)‖_max for orthonormal columns A and B:
+// zero exactly when span(B) ⊆ span(A).
+func spanGap(a, b *matrix.Dense) float64 {
+	return maxAbs(matrix.Sub(b, matrix.Mul(a, matrix.TMul(a, b))).Data)
+}
+
+// TestGramSVDMatchesSVD checks GramSVD against the Golub-Reinsch SVD
+// truncated to rank 10, on a flat 141×252 ratings matrix (its truncated
+// solve gives up, so every route ends in the Gram SymEig), its 252×141
+// transpose, and a decaying 150×100 matrix (the truncated solve
+// converges): singular values within 1e-12 of σ₁ and the same left and
+// right spans, for every solver and through both the sparse operator
+// (Gram built from the CSR) and the dense one (Gram built by applying
+// the operator). A converged truncated solve must return TruncatedSVD's
+// result bit for bit.
+func TestGramSVDMatchesSVD(t *testing.T) {
+	const rank = 10
+	flat := ratingsLike(rand.New(rand.NewSource(10)), 141, 252, 0.05)
+	for _, tc := range []struct {
+		name      string
+		a         *matrix.Dense
+		converges bool
+	}{
+		{"flat-141x252", flat, false},
+		{"flat-252x141", flat.T(), false},
+		{"decaying-150x100", gramDecaying(), true},
+	} {
+		if _, err := TruncatedSVD(NewDenseOp(tc.a), rank, Options{}); (err == nil) != tc.converges {
+			t.Fatalf("%s: truncated SVD returned %v", tc.name, err)
+		}
+		full, err := SVD(tc.a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := full.Truncate(rank)
+		for _, op := range []struct {
+			name string
+			op   Op
+		}{{"sparse", sparse.NewOperator(sparse.FromDense(tc.a))}, {"dense", NewDenseOp(tc.a)}} {
+			for _, solver := range []Solver{SolverAuto, SolverFull, SolverTruncated} {
+				key := tc.name + "/" + op.name + "/" + solver.String()
+				res, err := GramSVD(op.op, rank, solver, Options{})
+				if err != nil {
+					t.Fatalf("%s: %v", key, err)
+				}
+				if len(res.S) != rank || res.U.Cols != rank || res.V.Cols != rank {
+					t.Fatalf("%s: rank %d result has %d values, U %d and V %d columns", key, rank, len(res.S), res.U.Cols, res.V.Cols)
+				}
+				for j, s := range res.S {
+					if d := math.Abs(s - ref.S[j]); d > 1e-12*ref.S[0] {
+						t.Errorf("%s: σ[%d] = %.17g, SVD %.17g", key, j, s, ref.S[j])
+					}
+				}
+				if g := math.Max(spanGap(ref.U, res.U), spanGap(ref.V, res.V)); g > 1e-9 {
+					t.Errorf("%s: spans differ from the SVD's by %g", key, g)
+				}
+				if tc.converges && solver != SolverFull {
+					tr, err := TruncatedSVD(op.op, rank, Options{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if svdDigest(res) != svdDigest(tr) {
+						t.Errorf("%s: converged GramSVD differs from TruncatedSVD", key)
+					}
+				}
+			}
+		}
 	}
 }

@@ -354,11 +354,16 @@ func TestDrainWithBreakerOpen(t *testing.T) {
 	decomposeTenant(t, s, "t1")
 	decomposeTenant(t, s, "t2")
 
-	// Everything the disk is asked to do now fails.
+	// Everything the disk is asked to do now fails. t1's unit hangs
+	// before it runs until both patches are admitted, so its failing
+	// persist cannot open the breaker before t2's admission.
 	release := s.ArmFailpoint(FailPersist, FailpointSpec{Mode: FailError})
 	defer release()
+	hold := s.ArmFailpoint(FailExec, FailpointSpec{Tenant: "t1", Mode: FailHang, Count: 1})
+	defer hold()
 	i1 := submitPatch(t, s, "t1", 1)
 	i2 := submitPatch(t, s, "t2", 1)
+	hold()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

@@ -73,6 +73,14 @@ func (o *Operator) Apply(dst, x *matrix.Dense) { MulDenseInto(dst, o.a, x) }
 // ApplyT computes dst = Aᵀ·x.
 func (o *Operator) ApplyT(dst, x *matrix.Dense) { MulDenseInto(dst, o.at, x) }
 
+// Gram returns AᵀA (cols×cols), built from the stored entries: the
+// matrix eig.GramSVD's dense fallback decomposes for a tall operator.
+func (o *Operator) Gram() *matrix.Dense { return Mul(o.at, o.a) }
+
+// CoGram returns A·Aᵀ (rows×rows), the wide operator's counterpart of
+// Gram.
+func (o *Operator) CoGram() *matrix.Dense { return Mul(o.a, o.at) }
+
 // MidCSR returns the midpoint matrix (Lo + Hi)/2 as a CSR sharing a's
 // index structure (fresh value array) — the sparse counterpart of
 // IMatrix.Mid for the ISVD0 path.

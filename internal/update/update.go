@@ -36,7 +36,7 @@
 // update is exact up to rounding. Otherwise each truncation discards
 // singular mass; the per-update Discarded return value measures it, and
 // the engine in internal/core accumulates it against a residual budget
-// to schedule warm-started full refreshes (eig.RoutedSVD with
+// to schedule warm-started refreshes (eig.GramSVD with
 // Options.StartU/StartV). Orthogonality drift is checked in one place,
 // the engine's health gate, with FactorDrift.
 //

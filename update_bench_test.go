@@ -21,6 +21,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/eig"
 	"repro/internal/sparse"
 )
@@ -126,8 +127,10 @@ func BenchmarkUpdateAdditive(b *testing.B) {
 }
 
 // BenchmarkUpdateWarmRefresh forces the refresh path on every batch:
-// additive fold plus a warm-started truncated re-solve of both
-// endpoints from the updated matrix.
+// additive fold plus a warm-started re-solve of both endpoints from the
+// updated matrix. The decaying n×n cases converge on the truncated
+// solver; the flat ratings case is the read-under-write shape, whose
+// truncated solve gives up and falls back to the Gram SymEig.
 func BenchmarkUpdateWarmRefresh(b *testing.B) {
 	for _, n := range []int{512, 1024} {
 		m := benchStreamMatrix(n, benchUpdateNNZ)
@@ -145,6 +148,50 @@ func BenchmarkUpdateWarmRefresh(b *testing.B) {
 			}
 		})
 	}
+	d, delta := ratingsStream(b)
+	b.Run("ratings141x252/r=10/patch=0.3%", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := d.Update(delta, core.Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// ratingsStream returns the read-under-write tenant shape: an updatable
+// ISVD4 rank-10 decomposition of the base cells of a
+// MovieLensLike().Scaled(0.15) ratings matrix (141×252, flat spectrum
+// past rank 10) and its first arriving 0.3% patch, which warm-refreshes
+// under the default budget (checked here).
+func ratingsStream(b *testing.B) (*core.Decomposition, core.Delta) {
+	rng := rand.New(rand.NewSource(41))
+	data, err := dataset.GenerateRatings(dataset.MovieLensLike().Scaled(0.15), rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := data.CFIntervalsCSR()
+	base, patches, err := dataset.StreamSplit(m, 0.003*150, 150, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bm, err := sparse.FromICOO(m.Rows, m.Cols, base)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d, err := core.DecomposeSparse(bm, core.ISVD4, core.Options{Rank: 10, Target: core.TargetB, Updatable: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	delta := core.Delta{Patch: patches[0]}
+	d2, err := d.Update(delta, core.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if h := d2.Health(); h.Refreshes != 1 || h.Redecomposes != 0 {
+		b.Fatalf("ratings patch: health %+v, want one warm refresh", h)
+	}
+	return d, delta
 }
 
 // BenchmarkWarmStartTruncatedSVD isolates the warm-start win inside the
