@@ -72,6 +72,33 @@ func updatePathChain() (*sparse.ICSR, []Delta) {
 	}
 }
 
+// growChain returns a dense non-negative 30×22 base and a chain of
+// appends only: three rows of which the third repeats the first, two
+// columns, four rows and three columns in one delta, and two rows. At
+// rank 5 every step keeps r + c at most the dimension the batch does
+// not extend.
+func growChain() (*sparse.ICSR, []Delta) {
+	rng := rand.New(rand.NewSource(433))
+	block := func(r, c int) *imatrix.IMatrix {
+		m := imatrix.New(r, c)
+		for i := range m.Lo.Data {
+			v := math.Abs(rng.NormFloat64())
+			m.Lo.Data[i] = v
+			m.Hi.Data[i] = v + 0.1
+		}
+		return m
+	}
+	dup := block(3, 22)
+	copy(dup.Lo.RowView(2), dup.Lo.RowView(0))
+	copy(dup.Hi.RowView(2), dup.Hi.RowView(0))
+	return sparse.FromIMatrix(block(30, 22)), []Delta{
+		{AppendRows: sparse.FromIMatrix(dup)},
+		{AppendCols: sparse.FromIMatrix(block(33, 2))},
+		{AppendRows: sparse.FromIMatrix(block(4, 24)), AppendCols: sparse.FromIMatrix(block(37, 3))},
+		{AppendRows: sparse.FromIMatrix(block(2, 27))},
+	}
+}
+
 // stateDigest replays an update chain and hashes, per step, what
 // chainDigest leaves out: the stored matrix's ICSR arrays and every
 // Health field, escalation reason included (FNV-64a).
@@ -115,16 +142,18 @@ func stateDigest(t *testing.T, d *Decomposition, deltas []Delta, opts Options) u
 }
 
 // TestUpdatePathDigests pins every path of Decomposition.Update bitwise:
-// each Delta stage on its own, a narrow two-step slide and two wide
-// merged slides, for ISVD0 (the midpoint side), ISVD1 and ISVD4 (the
-// endpoint pair), under the default budgets, no refresh at all, a
-// refresh on every update and a redecompose on every update. Each digest covers the published
+// each Delta stage on its own, a narrow two-step slide, two wide merged
+// slides and a chain of row and column appends, for ISVD0 (the midpoint
+// side), ISVD1 and ISVD4 (the endpoint pair), under the default
+// budgets, no refresh at all, a refresh on every update and a
+// redecompose on every update. Each digest covers the published
 // factors and counters (chainDigest), the stored matrix and the full
 // Health report, and must not depend on the worker count.
 func TestUpdatePathDigests(t *testing.T) {
 	defer parallel.SetWorkers(0)
 	stageBase, stageDeltas := updatePathChain()
 	wideBase, wideDeltas := scatterWindowChain(2, 60)
+	growBase, growDeltas := growChain()
 	chains := []struct {
 		name   string
 		base   *sparse.ICSR
@@ -133,6 +162,7 @@ func TestUpdatePathDigests(t *testing.T) {
 	}{
 		{"stages", stageBase, stageDeltas, 5},
 		{"wide", wideBase, wideDeltas, 8},
+		{"grow", growBase, growDeltas, 5},
 	}
 	regimes := []struct {
 		name string
@@ -152,7 +182,9 @@ func TestUpdatePathDigests(t *testing.T) {
 	// The stages/default and stages/refresh digests were re-recorded when
 	// the warm refresh moved to eig.GramSVD (a 22×22 or 23×23 Gram
 	// SymEig in place of the Golub-Reinsch SVD at this size); every
-	// step's escalation counters stayed the same.
+	// step's escalation counters stayed the same. The grow digests were
+	// recorded while AppendRows still had its own Brand step, before it
+	// became a LowRank step on zero-padded factors.
 	want := map[string]uint64{
 		"ISVD0/stages/default":     0x0ed6c17646153d6e,
 		"ISVD0/stages/never":       0x1846288b93f7a563,
@@ -162,6 +194,10 @@ func TestUpdatePathDigests(t *testing.T) {
 		"ISVD0/wide/never":         0xa8423dae7c78c06e,
 		"ISVD0/wide/refresh":       0x2c6fd388f7e248ad,
 		"ISVD0/wide/redecompose":   0x5b235ab7d4fb6073,
+		"ISVD0/grow/default":       0xd7c77314a09f4d3e,
+		"ISVD0/grow/never":         0xb6ad097171f831e8,
+		"ISVD0/grow/refresh":       0x3a75bd955a774986,
+		"ISVD0/grow/redecompose":   0x15969f0a232e8352,
 		"ISVD1/stages/default":     0x0b3307504232c24e,
 		"ISVD1/stages/never":       0xab7f9fff0f24c453,
 		"ISVD1/stages/refresh":     0xa7bae6066f4aa424,
@@ -170,6 +206,10 @@ func TestUpdatePathDigests(t *testing.T) {
 		"ISVD1/wide/never":         0x770d06579d95ee8c,
 		"ISVD1/wide/refresh":       0xbf0606a0868971c9,
 		"ISVD1/wide/redecompose":   0x5e74e62d71e0cf07,
+		"ISVD1/grow/default":       0x467fac0b8b20e9f4,
+		"ISVD1/grow/never":         0xe8b145300451435d,
+		"ISVD1/grow/refresh":       0x14ce2c76077ef36d,
+		"ISVD1/grow/redecompose":   0x8390aca240f97a72,
 		"ISVD4/stages/default":     0x84d089ac4815c40a,
 		"ISVD4/stages/never":       0x93834ba974796e7f,
 		"ISVD4/stages/refresh":     0x0a06fa611fcd6c8a,
@@ -178,6 +218,10 @@ func TestUpdatePathDigests(t *testing.T) {
 		"ISVD4/wide/never":         0x8c64f08a446d6c34,
 		"ISVD4/wide/refresh":       0x7613e4bc8d3afdd6,
 		"ISVD4/wide/redecompose":   0x01a7628fe1719129,
+		"ISVD4/grow/default":       0xb1dcf06f837f576b,
+		"ISVD4/grow/never":         0x4e389a9f8d7d7327,
+		"ISVD4/grow/refresh":       0x18cf4738efa8d4a6,
+		"ISVD4/grow/redecompose":   0xdaca5ef6234c8e58,
 	}
 	for _, w := range []int{1, 3} {
 		parallel.SetWorkers(w)
