@@ -74,20 +74,34 @@ func (o denseOperand) svdMid(opts Options) (*eig.SVDResult, time.Duration, time.
 }
 
 func (o denseOperand) svdEndpoints(opts Options) (lo, hi *eig.SVDResult, err error) {
-	// The two endpoint SVDs are independent; run them concurrently on the
-	// shared pool, bounded by opts.Workers when set.
-	var errLo, errHi error
-	parallel.DoWith(opts.Workers,
-		func() { lo, errLo = denseSVD(o.m.Lo, opts) },
-		func() { hi, errHi = denseSVD(o.m.Hi, opts) },
+	err = pairSides(opts.Workers,
+		func() (err error) { lo, err = denseSVD(o.m.Lo, opts); return err },
+		func() (err error) { hi, err = denseSVD(o.m.Hi, opts); return err },
 	)
-	if errLo != nil {
-		return nil, nil, fmt.Errorf("min side: %w", errLo)
-	}
-	if errHi != nil {
-		return nil, nil, fmt.Errorf("max side: %w", errHi)
+	if err != nil {
+		return nil, nil, err
 	}
 	return lo, hi, nil
+}
+
+// pairSides runs the independent lo and hi halves of an endpoint step
+// concurrently on the shared pool, bounded by workers (0 = the pool
+// default). An error on either side fails the pair as a whole, named
+// "min side" or "max side", so the two endpoints always advance in
+// lockstep.
+func pairSides(workers int, lo, hi func() error) error {
+	var errLo, errHi error
+	parallel.DoWith(workers,
+		func() { errLo = lo() },
+		func() { errHi = hi() },
+	)
+	if errLo != nil {
+		return fmt.Errorf("min side: %w", errLo)
+	}
+	if errHi != nil {
+		return fmt.Errorf("max side: %w", errHi)
+	}
+	return nil
 }
 
 // denseSVD is the routed SVD of one dense matrix at opts.Rank.

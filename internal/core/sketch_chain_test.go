@@ -156,7 +156,7 @@ func slideBy(t *testing.T, d *Decomposition, delta Delta,
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := decompose(updateOperand{m: next, sides: sides{lo: lo, hi: hi}}, d.Method, st.opts)
+	d2, err := decompose(updateOperand{sparseOperand{next}, sides{lo: lo, hi: hi}}, d.Method, st.opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/eig"
 	"repro/internal/imatrix"
 	"repro/internal/matrix"
-	"repro/internal/parallel"
 	"repro/internal/sparse"
 )
 
@@ -33,16 +32,12 @@ func (o sparseOperand) svdMid(opts Options) (*eig.SVDResult, time.Duration, time
 }
 
 func (o sparseOperand) svdEndpoints(opts Options) (lo, hi *eig.SVDResult, err error) {
-	var errLo, errHi error
-	parallel.DoWith(opts.Workers,
-		func() { lo, errLo = csrSVD(o.m.LoCSR(), opts) },
-		func() { hi, errHi = csrSVD(o.m.HiCSR(), opts) },
+	err = pairSides(opts.Workers,
+		func() (err error) { lo, err = csrSVD(o.m.LoCSR(), opts); return err },
+		func() (err error) { hi, err = csrSVD(o.m.HiCSR(), opts); return err },
 	)
-	if errLo != nil {
-		return nil, nil, fmt.Errorf("min side: %w", errLo)
-	}
-	if errHi != nil {
-		return nil, nil, fmt.Errorf("max side: %w", errHi)
+	if err != nil {
+		return nil, nil, err
 	}
 	return lo, hi, nil
 }

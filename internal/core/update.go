@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/eig"
-	"repro/internal/imatrix"
 	"repro/internal/matrix"
 	"repro/internal/sparse"
 	"repro/internal/update"
@@ -136,16 +135,16 @@ type sides struct {
 }
 
 // step applies one batch stage to every maintained side — mid alone,
-// or the lo/hi pair concurrently on the pool (update.Pair, which names
+// or the lo/hi pair concurrently on the pool (pairSides, which names
 // the failing side) — and returns the stepped sides with each side's
 // discarded mass, indexed by side. On error the sides are not usable.
 func (s sides) step(workers int, stage func(f *eig.SVDResult, side int) (*eig.SVDResult, float64, error)) (next sides, disc [3]float64, err error) {
 	if s.mid != nil {
 		next.mid, disc[sideMid], err = stage(s.mid, sideMid)
 	} else {
-		next.lo, next.hi, disc[sideLo], disc[sideHi], err = update.Pair(workers,
-			func() (*eig.SVDResult, float64, error) { return stage(s.lo, sideLo) },
-			func() (*eig.SVDResult, float64, error) { return stage(s.hi, sideHi) },
+		err = pairSides(workers,
+			func() (err error) { next.lo, disc[sideLo], err = stage(s.lo, sideLo); return err },
+			func() (err error) { next.hi, disc[sideHi], err = stage(s.hi, sideHi); return err },
 		)
 	}
 	return next, disc, err
@@ -626,7 +625,7 @@ func (d *Decomposition) Update(delta Delta, opts Options) (*Decomposition, error
 	// the captured state's options are restored below.
 	reopts := base
 	reopts.Workers = workers
-	d2, err := decompose(updateOperand{m: m2, sides: cur}, d.Method, reopts)
+	d2, err := decompose(updateOperand{sparseOperand{m2}, cur}, d.Method, reopts)
 	if err != nil {
 		return nil, err
 	}
@@ -762,20 +761,20 @@ func sideDense(b *sparse.ICSR, side int) *matrix.Dense { return sideCSR(b, side)
 // updateOperand plugs the maintained factor states into the shared
 // ISVD0-4 pipeline: the decomposition steps (svdMid, svdEndpoints,
 // gramEig) are answered from the factors without any iteration — that
-// is the entire point of the incremental engine — while the solve-step
-// products (the ISVD2 U recovery and the ISVD3/4 interval algebra) run
-// against the updated sparse matrix on the CSR kernels, exactly like
-// sparseOperand. Align, solve, and construct therefore re-run unchanged
-// on updated inputs, so an updated decomposition agrees with a full
-// re-decomposition to the accuracy of the factor states themselves.
+// is the entire point of the incremental engine — while every other
+// method, the solve-step products included (the ISVD2 U recovery and
+// the ISVD3/4 interval algebra), is the embedded sparseOperand's on the
+// updated matrix. Align, solve, and construct therefore re-run
+// unchanged on updated inputs, so an updated decomposition agrees with
+// a full re-decomposition to the accuracy of the factor states
+// themselves. Those states advance by internal/update's Brand steps:
+// every factor step (append, cell patch, removal) is one LowRank or
+// sketched step ending in rotate, and an append is a LowRank step on
+// zero-padded factors.
 type updateOperand struct {
-	m *sparse.ICSR
+	sparseOperand
 	sides
 }
-
-func (o updateOperand) rows() int            { return o.m.Rows }
-func (o updateOperand) cols() int            { return o.m.Cols }
-func (o updateOperand) toICSR() *sparse.ICSR { return o.m }
 
 func (o updateOperand) svdMid(opts Options) (*eig.SVDResult, time.Duration, time.Duration, error) {
 	return cloneSVD(o.mid), 0, 0, nil
@@ -790,20 +789,4 @@ func (o updateOperand) gramEig(opts Options) (vLo, vHi *matrix.Dense, sLo, sHi [
 	return o.lo.V.Clone(), o.hi.V.Clone(),
 		append([]float64(nil), o.lo.S...), append([]float64(nil), o.hi.S...),
 		0, 0, nil
-}
-
-func (o updateOperand) mulEndpointsRight(s *matrix.Dense, opts Options) *imatrix.IMatrix {
-	return sparse.MulEndpointsDense(o.m, s)
-}
-
-func (o updateOperand) mulEndpointsLeft(s *matrix.Dense, opts Options) *imatrix.IMatrix {
-	return sparse.MulDenseEndpoints(s, o.m)
-}
-
-func (o updateOperand) applyLo(v *matrix.Dense) *matrix.Dense {
-	return sparse.MulDense(o.m.LoCSR(), v)
-}
-
-func (o updateOperand) applyHi(v *matrix.Dense) *matrix.Dense {
-	return sparse.MulDense(o.m.HiCSR(), v)
 }

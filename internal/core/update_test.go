@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"hash/fnv"
 	"math"
 	"math/rand"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/matrix"
 	"repro/internal/parallel"
 	"repro/internal/sparse"
+	"repro/internal/update"
 )
 
 // nonNegLowRank returns an exactly rank-rho interval matrix with
@@ -396,6 +398,54 @@ func TestUpdateChainWithGrowth(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkDecompAgreement(t, d, ref, 1e-6)
+}
+
+// TestPairSidesRunsBothSides: a step on the endpoint pair advances both
+// sides, each with its own discarded mass, and an error on either side
+// fails the whole step with a message naming that side.
+func TestPairSidesRunsBothSides(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	iv := nonNegLowRank(12, 9, 3, rng)
+	lo, err := eig.SVD(iv.Lo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hi, err := eig.SVD(iv.Hi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sides{lo: lo.Truncate(4), hi: hi.Truncate(4)}
+	next, disc, err := s.step(2, func(f *eig.SVDResult, side int) (*eig.SVDResult, float64, error) {
+		nf, err := update.Forget(f, 0.5)
+		return nf, float64(side + 1), err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.lo == nil || next.hi == nil || next.mid != nil {
+		t.Fatalf("stepped sides lo %v hi %v mid %v", next.lo != nil, next.hi != nil, next.mid != nil)
+	}
+	if next.lo.S[0] != 0.5*s.lo.S[0] || next.hi.S[0] != 0.5*s.hi.S[0] {
+		t.Fatalf("σ₁ lo %g hi %g, want %g and %g", next.lo.S[0], next.hi.S[0], 0.5*s.lo.S[0], 0.5*s.hi.S[0])
+	}
+	if disc != [3]float64{sideLo: 1, sideHi: 2} {
+		t.Fatalf("discarded mass %v, want lo 1 and hi 2", disc)
+	}
+	boom := errors.New("boom")
+	for _, c := range []struct {
+		failing int
+		want    string
+	}{{sideHi, "max side: boom"}, {sideLo, "min side: boom"}} {
+		_, _, err := s.step(0, func(f *eig.SVDResult, side int) (*eig.SVDResult, float64, error) {
+			if side == c.failing {
+				return nil, 0, boom
+			}
+			return f, 0, nil
+		})
+		if err == nil || err.Error() != c.want || !errors.Is(err, boom) {
+			t.Errorf("side %d failing: err %v, want %q wrapping boom", c.failing, err, c.want)
+		}
+	}
 }
 
 // TestUpdateWorkersOverrideNotSticky: a per-call Workers override

@@ -63,14 +63,6 @@ type Config struct {
 	// Resilience knobs. Zero values mean the documented defaults;
 	// negative values disable the mechanism.
 
-	// DeadlineBase, DeadlinePerCost, and DeadlineMax bound a unit's
-	// execution time at base + perCost×cost, capped at max, under the
-	// injected clock/timer. A unit past its deadline fails (the tenant's
-	// previous snapshot keeps serving); DeadlineBase < 0 disables
-	// deadlines.
-	DeadlineBase    time.Duration
-	DeadlinePerCost time.Duration
-	DeadlineMax     time.Duration
 	// QuarantineAfter quarantines a tenant after this many consecutive
 	// failed execution units; QuarantineCooldown is the first rejection
 	// period (doubling per re-trip, capped). QuarantineAfter < 0
@@ -82,10 +74,6 @@ type Config struct {
 	// first open period. BreakerThreshold < 0 disables the breaker.
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	// MaxPendingBytes caps the estimated resident payload bytes across
-	// all queued jobs; admission past it rejects with 429/Retry-After.
-	// < 0 disables the budget.
-	MaxPendingBytes int64
 	// RetryAfterHint is the Retry-After value attached to queue- and
 	// byte-budget rejections (quarantine/breaker rejections report their
 	// actual remaining cooldown).
@@ -106,11 +94,16 @@ const (
 	DefaultMaxBodyBytes = int64(16) << 20
 	DefaultMaxQueue     = 64
 
-	// DefaultDeadlineBase/PerCost/Max bound unit execution time.
+	// DefaultDeadlineBase/PerCost/Max bound a unit's execution time at
+	// base + perCost×cost, capped at max, under the injected timer. A
+	// unit past its deadline fails (the tenant's previous snapshot keeps
+	// serving).
 	DefaultDeadlineBase    = 2 * time.Minute
 	DefaultDeadlinePerCost = 2 * time.Microsecond
 	DefaultDeadlineMax     = 15 * time.Minute
-	// DefaultMaxPendingBytes caps resident queued payloads.
+	// DefaultMaxPendingBytes caps the estimated resident payload bytes
+	// across all queued jobs; admission past it rejects with
+	// 429/Retry-After.
 	DefaultMaxPendingBytes = int64(256) << 20
 	// DefaultRetryAfterHint is the backpressure retry hint.
 	DefaultRetryAfterHint = time.Second
@@ -140,15 +133,6 @@ func (c Config) withDefaults() Config {
 	if c.PersistBackoff <= 0 {
 		c.PersistBackoff = DefaultPersistBackoff
 	}
-	if c.DeadlineBase == 0 {
-		c.DeadlineBase = DefaultDeadlineBase
-	}
-	if c.DeadlinePerCost == 0 {
-		c.DeadlinePerCost = DefaultDeadlinePerCost
-	}
-	if c.DeadlineMax <= 0 {
-		c.DeadlineMax = DefaultDeadlineMax
-	}
 	if c.QuarantineAfter == 0 {
 		c.QuarantineAfter = DefaultQuarantineAfter
 	}
@@ -160,9 +144,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = DefaultBreakerCooldown
-	}
-	if c.MaxPendingBytes == 0 {
-		c.MaxPendingBytes = DefaultMaxPendingBytes
 	}
 	if c.RetryAfterHint <= 0 {
 		c.RetryAfterHint = DefaultRetryAfterHint
@@ -211,7 +192,7 @@ type JobInfo struct {
 type jobRecord struct {
 	job   sched.Job
 	req   *jobRequest
-	bytes int64 // payload estimate charged against MaxPendingBytes
+	bytes int64 // payload estimate charged against DefaultMaxPendingBytes
 	info  JobInfo
 }
 
@@ -399,7 +380,7 @@ func (s *Service) Submit(req *jobRequest) (JobInfo, error) {
 		return s.reject(reasonQueueFull, withRetryAfter(
 			fmt.Errorf("%w: %d pending jobs for %q", errQueueFull, depth, req.tenant), s.cfg.RetryAfterHint))
 	}
-	if s.cfg.MaxPendingBytes > 0 && s.pendingBytes > 0 && s.pendingBytes+req.bytes > s.cfg.MaxPendingBytes {
+	if s.pendingBytes > 0 && s.pendingBytes+req.bytes > DefaultMaxPendingBytes {
 		return s.reject(reasonByteBudget, withRetryAfter(
 			fmt.Errorf("%w: %d resident payload bytes", errQueueFull, s.pendingBytes), s.cfg.RetryAfterHint))
 	}
@@ -686,11 +667,8 @@ func (s *Service) runGuarded(unit sched.Unit, reqs []*jobRequest, meta *tenantMe
 		v, err := s.runUnit(unit, reqs, meta, claimed)
 		done <- unitResult{version: v, err: err}
 	}()
-	limit := unitDeadline(s.cfg.DeadlineBase, s.cfg.DeadlinePerCost, unit.Cost, s.cfg.DeadlineMax)
-	var timeout <-chan time.Time
-	if limit > 0 {
-		timeout = s.cfg.After(limit)
-	}
+	limit := unitDeadline(DefaultDeadlineBase, DefaultDeadlinePerCost, unit.Cost, DefaultDeadlineMax)
+	timeout := s.cfg.After(limit)
 	select {
 	case res := <-done:
 		return res.version, res.err

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -322,6 +323,32 @@ func TestSubmitRejections(t *testing.T) {
 		}
 		// Other tenants are unaffected by a full neighbor.
 		mustSubmit(t, s, Request{Tenant: "u", Kind: "decompose", COO: cooText(t, m)})
+	})
+	t.Run("byte budget", func(t *testing.T) {
+		s := New(Config{})
+		mustSubmit(t, s, Request{Tenant: "t", Kind: "decompose", COO: cooText(t, m)})
+		data, err := json.Marshal(Request{Tenant: "u", Kind: "decompose", COO: cooText(t, m)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jr, err := decodeRequest(data, s.cfg.MaxBodyBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// With one job resident, any estimate of the whole budget
+		// pushes the total past it.
+		jr.bytes = DefaultMaxPendingBytes
+		_, err = s.Submit(jr)
+		if !errors.Is(err, errQueueFull) {
+			t.Fatalf("err = %v, want errQueueFull", err)
+		}
+		var ra *retryAfterError
+		if !errors.As(err, &ra) || ra.after != DefaultRetryAfterHint {
+			t.Fatalf("byte-budget rejection carries no %v Retry-After: %v", DefaultRetryAfterHint, err)
+		}
+		if n := s.metrics.snapshotCounter(mRejected, label("reason", reasonByteBudget)); n != 1 {
+			t.Fatalf("%g byte_budget rejections counted, want 1", n)
+		}
 	})
 	t.Run("job not found", func(t *testing.T) {
 		s := New(Config{})

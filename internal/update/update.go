@@ -18,6 +18,13 @@
 // such step per side, not two: one CellPatch of the signed cells
 // (+arrival, −expired value).
 //
+// Every factor step, an append, a cell patch or a removal, is one
+// LowRank step A + p·qᵀ (or, for a wide patch, one sketched step), and
+// every one ends in the same rotate. An append is a LowRank step on
+// zero-padded factors: AppendRows pads U with c zero rows and takes
+// p = [0; I_c], q = bᵀ; AppendCols is its transpose. A removal adds the
+// negated rows or columns the same way and compacts them out.
+//
 // The mechanics are the classical three steps: (1) project the batch
 // onto the existing factors and extract the out-of-subspace component
 // with in-order Gram-Schmidt (serial, index-ordered — the
@@ -26,10 +33,10 @@
 // small (r+c)×(r+c) core matrix and decompose it through the existing
 // dense eig.SymEig (as the eigensolver of KᵀK, with the left factor
 // recovered by one small product); (3) rotate the extended bases by the
-// core factors and truncate back to the target rank (rotate, shared by
-// the exact and the sketched cell steps). All O(matrix-dim)
-// products run on the pool-sharded blocked kernels of internal/matrix,
-// so every update is bitwise identical for any worker count.
+// core factors and truncate back to the target rank (rotate). All
+// O(matrix-dim) products run on the pool-sharded blocked kernels of
+// internal/matrix, so every update is bitwise identical for any worker
+// count.
 //
 // Exactness: when the current factors are an exact SVD of A (A has rank
 // at most r) and the kept rank covers the batch-extended rank, the
@@ -50,7 +57,6 @@ import (
 
 	"repro/internal/eig"
 	"repro/internal/matrix"
-	"repro/internal/parallel"
 	"repro/internal/sparse"
 )
 
@@ -66,55 +72,23 @@ const gsDropTol = 1e-13
 // clamped to the extended core size r+c (and the updated matrix
 // dimensions). The second return value is the Frobenius mass of the
 // singular values the truncation discarded.
+//
+// An append is the LowRank step [A; 0] + p·qᵀ of the zero-padded
+// matrix: U gains c zero rows, p = [0; I_c] selects the new rows and
+// q = bᵀ carries them.
 func AppendRows(f *eig.SVDResult, b *matrix.Dense, rank int) (*eig.SVDResult, float64, error) {
 	m, n, r := f.U.Rows, f.V.Rows, len(f.S)
 	if b.Cols != n {
 		return nil, 0, fmt.Errorf("update: AppendRows: batch has %d cols, want %d", b.Cols, n)
 	}
 	c := b.Rows
-	rank = clampRank(rank, r, r+c, m+c, n)
-
-	// Project the new rows onto the right factor: W = B·V (coefficients
-	// inside span V), C = B − W·Vᵀ (out-of-subspace component), with one
-	// re-orthogonalization pass for numerical stability.
-	w := matrix.Mul(b, f.V)                   // c×r
-	cm := matrix.Sub(b, matrix.MulT(w, f.V))  // c×n
-	w2 := matrix.Mul(cm, f.V)                 // c×r
-	cm = matrix.Sub(cm, matrix.MulT(w2, f.V)) // re-orth pass
-	w = matrix.AddInto(w, w, w2)
-
-	// In-order Gram-Schmidt over the residual rows: C = Rc·Qcᵀ with Qc
-	// n×c orthonormal (rows of qct) and Rc c×c lower triangular.
-	qct, rc := gsRows(cm)
-
-	// Core matrix K = [diag(S) 0; W Rc], so [A; B] = diag(U, I)·K·[V Qc]ᵀ.
-	k := matrix.New(r+c, r+c)
-	for i := 0; i < r; i++ {
-		k.Data[i*(r+c)+i] = f.S[i]
-	}
+	u := matrix.New(m+c, r)
+	copy(u.Data, f.U.Data)
+	p := matrix.New(m+c, c)
 	for i := 0; i < c; i++ {
-		krow := k.RowView(r + i)
-		copy(krow[:r], w.RowView(i))
-		copy(krow[r:], rc.RowView(i))
+		p.Set(m+i, i, 1)
 	}
-
-	uk, s, vk, disc, err := coreSVD(k, rank)
-	if err != nil {
-		return nil, 0, err
-	}
-
-	// Rotate: U' = diag(U, I)·Uk (top block U·Uk_top, bottom block copied
-	// from Uk's trailing rows), V' = V·Vk_top + Qc·Vk_bot.
-	u := matrix.New(m+c, rank)
-	top := matrix.Mul(f.U, uk.SubMatrix(0, r, 0, rank))
-	copy(u.Data[:m*rank], top.Data)
-	copy(u.Data[m*rank:], uk.Data[r*rank:])
-	v := matrix.Add(
-		matrix.Mul(f.V, vk.SubMatrix(0, r, 0, rank)),
-		matrix.TMul(qct, vk.SubMatrix(r, r+c, 0, rank)),
-	)
-	canonicalizePairSigns(u, v)
-	return &eig.SVDResult{U: u, S: s, V: v}, disc, nil
+	return LowRank(&eig.SVDResult{U: u, S: f.S, V: f.V}, p, b.T(), rank)
 }
 
 // AppendCols returns the rank-truncated SVD of [A B] given the factors f
@@ -276,28 +250,6 @@ func Wide(f *eig.SVDResult, cells []sparse.Triplet, rank int) bool {
 	return wide
 }
 
-// Pair applies one update step to both endpoint factor sides of an
-// interval matrix concurrently on the shared pool (bounded by workers;
-// 0 = pool default) — the interval flavor of the updates above: ISVD0-4
-// maintain a (lo, hi) factor pair, and the downstream interval algebra
-// (the imatrix min/max combine kernels in internal/core) re-combines the
-// updated pair. Errors on either side fail the pair as a whole so the
-// two endpoints always advance in lockstep.
-func Pair(workers int, loFn, hiFn func() (*eig.SVDResult, float64, error)) (lo, hi *eig.SVDResult, discLo, discHi float64, err error) {
-	var errLo, errHi error
-	parallel.DoWith(workers,
-		func() { lo, discLo, errLo = loFn() },
-		func() { hi, discHi, errHi = hiFn() },
-	)
-	if errLo != nil {
-		return nil, nil, 0, 0, fmt.Errorf("min side: %w", errLo)
-	}
-	if errHi != nil {
-		return nil, nil, 0, 0, fmt.Errorf("max side: %w", errHi)
-	}
-	return lo, hi, discLo, discHi, nil
-}
-
 // clampRank resolves the kept rank: non-positive keeps the current rank
 // r; everything is clamped to the extended core size and the updated
 // matrix dimensions.
@@ -367,26 +319,18 @@ func extendBasis(u, p *matrix.Dense) (m, j, r *matrix.Dense) {
 // zeroed: their content lies in the span of the previous columns and is
 // fully carried by r's off-diagonal coefficients.
 //
-// It is gsRows on the transpose, gsCols(a) = gsRows(aᵀ)ᵀ, with the same
-// arithmetic in the same order: a is transposed once into the q
-// workspace so the sweeps run over contiguous rows, and q and r are
-// transposed back in place.
+// a is transposed once into the q workspace so the sweeps of
+// gsRowsInPlace run over contiguous rows, and q and r are transposed
+// back in place.
 func gsCols(a *matrix.Dense) (q, r *matrix.Dense) {
 	q = matrix.TransposeInto(matrix.New(a.Cols, a.Rows), a)
 	r = gsRowsInPlace(q)
 	return q.TransposeInPlace(), r.TransposeInPlace()
 }
 
-// gsRows is gsCols over the rows of a (the append-rows orientation):
-// a = r·q with q's rows orthonormal-or-zero and r lower triangular.
-func gsRows(a *matrix.Dense) (q, r *matrix.Dense) {
-	q = a.Clone()
-	return q, gsRowsInPlace(q)
-}
-
-// gsRowsInPlace is the Gram-Schmidt core of gsRows and gsCols: it
-// orthonormalizes the rows of q in place, in index order, and returns
-// the lower-triangular coefficients r.
+// gsRowsInPlace is the Gram-Schmidt core of gsCols: it orthonormalizes
+// the rows of q in place, in index order, and returns the
+// lower-triangular coefficients r.
 func gsRowsInPlace(q *matrix.Dense) (r *matrix.Dense) {
 	c := q.Rows
 	r = matrix.New(c, c)

@@ -286,32 +286,3 @@ func TestUpdateErrors(t *testing.T) {
 		t.Error("CellPatch accepted duplicate cell")
 	}
 }
-
-// TestPairRunsBothSides exercises the interval pair helper: both sides
-// update, an error on either side fails the pair.
-func TestPairRunsBothSides(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	a := lowRankMatrix(12, 9, 3, rng)
-	full, err := eig.SVD(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := full.Truncate(4)
-	b := lowRankMatrix(2, 9, 1, rng)
-	lo, hi, dl, dh, err := Pair(2,
-		func() (*eig.SVDResult, float64, error) { return AppendRows(f, b, 4) },
-		func() (*eig.SVDResult, float64, error) { return AppendRows(f, b, 4) },
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo == nil || hi == nil || dl != dh {
-		t.Fatalf("pair mismatch: %v %v %g %g", lo != nil, hi != nil, dl, dh)
-	}
-	if _, _, _, _, err := Pair(0,
-		func() (*eig.SVDResult, float64, error) { return AppendRows(f, b, 4) },
-		func() (*eig.SVDResult, float64, error) { return nil, 0, fmt.Errorf("boom") },
-	); err == nil {
-		t.Error("Pair swallowed hi-side error")
-	}
-}
